@@ -316,12 +316,11 @@ def cross_validate(
 def roofline_classification(
     report: KernelCostReport, machine
 ) -> Dict[str, object]:
-    """Where the kernel sits on the machine's naive roofline."""
-    cluster = machine.cluster(0)
-    peak_flops = (
-        cluster.cores * cluster.frequency_hz * getattr(cluster, "flops_per_cycle", 1.0)
-    )
-    bandwidth = machine.bandwidth_per_socket * machine.sockets
+    """Where the kernel sits on the machine's naive roofline: the whole
+    machine's peak FLOP/s (one FLOP per core cycle) over its whole
+    DRAM bandwidth."""
+    peak_flops = sum(c.cores * c.frequency_hz for c in machine.clusters)
+    bandwidth = sum(c.bandwidth_bytes_s for c in machine.clusters)
     ridge = peak_flops / bandwidth if bandwidth else math.inf
     intensity = report.operational_intensity
     return {

@@ -143,11 +143,7 @@ def _standard_space(machine):
     from repro.engine.model import DesignSpace
     from repro.gcc.flags import standard_levels
 
-    if machine.is_homogeneous:
-        pins, capacities = (None,), None
-    else:
-        pins = tuple(machine.cluster_names())
-        capacities = {name: machine.cluster_logical_cpus(name) for name in pins}
+    pins, capacities = machine.cluster_pins()
     return DesignSpace(
         compiler_configs=standard_levels(),
         thread_counts=list(range(1, machine.logical_cpus + 1)),

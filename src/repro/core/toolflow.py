@@ -253,17 +253,6 @@ class SocratesToolflow:
 
     # -- stages ------------------------------------------------------------------
 
-    def _cluster_pins(self) -> Tuple[Optional[str], ...]:
-        """Values of the cluster knob on this platform.
-
-        Homogeneous machines get the degenerate ``(None,)`` — no pin,
-        the paper's three-knob space; heterogeneous machines expose one
-        pin per cluster type (the fourth knob).
-        """
-        if self._machine.is_homogeneous:
-            return (None,)
-        return tuple(self._machine.cluster_names())
-
     def _verify_weave(self, app: BenchmarkApp, weaver: Weaver):
         """Post-weave gate: hard error on structural violations.
 
@@ -361,12 +350,7 @@ class SocratesToolflow:
         dse_strategy: Optional[SamplingStrategy],
     ) -> ExplorationResult:
         profile = self._engine.profile(app)
-        pins = self._cluster_pins()
-        capacities = (
-            {name: self._machine.cluster_logical_cpus(name) for name in pins}
-            if pins != (None,)
-            else None
-        )
+        pins, capacities = self._machine.cluster_pins()
         space = DesignSpace(
             compiler_configs=list(configs),
             thread_counts=self._thread_counts,
@@ -390,7 +374,7 @@ class SocratesToolflow:
     ) -> AdaptiveApplication:
         profile = self._engine.profile(app)
         versions = build_version_table(
-            self._engine, profile, configs, clusters=self._cluster_pins()
+            self._engine, profile, configs, clusters=self._machine.cluster_pins()[0]
         )
         meter = RaplMeter(self._executor.power_model, seed=self._seed ^ 0xFF)
         knowledge = exploration.knowledge

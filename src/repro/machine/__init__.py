@@ -11,14 +11,14 @@ meter, and :mod:`repro.machine.executor` turns a compiled kernel plus
 a thread placement into (time, power, energy) samples.
 
 A machine is a tuple of :class:`~repro.machine.topology.Cluster`\\ s —
-one per socket — so asymmetric (big.LITTLE-style) parts are first-class
-citizens: :mod:`repro.machine.registry` names the available platforms
-(``xeon_2s`` is the default, bit-for-bit the historical homogeneous
-testbed) and every layer resolves its machine parameter through
-:func:`~repro.machine.registry.resolve_machine`.
+one per socket — and every machine goes through the same per-cluster
+model, so asymmetric (big.LITTLE-style) parts and the paper's Xeon
+(two identical clusters) are described the same way.
+:mod:`repro.machine.registry` names the available platforms
+(``xeon_2s`` is the default) and every layer resolves its machine
+parameter through :func:`~repro.machine.registry.resolve_machine`.
 """
 
-from repro.machine.dvfs import TurboModel
 from repro.machine.executor import ExecutionResult, MachineExecutor
 from repro.machine.openmp import BindingPolicy, OpenMPRuntime, ThreadPlacement
 from repro.machine.power import (
@@ -47,7 +47,6 @@ __all__ = [
     "DEFAULT_MACHINE",
     "DOMAINS",
     "DomainPower",
-    "TurboModel",
     "ExecutionResult",
     "Machine",
     "MachineExecutor",

@@ -1,23 +1,28 @@
-"""Execute compiled kernels on the simulated NUMA machine.
+"""Execute compiled kernels on the simulated machine.
 
 This is the substitute for running a real binary under RAPL: given a
 :class:`~repro.gcc.compiler.CompiledKernel` and a
 :class:`~repro.machine.openmp.ThreadPlacement`, it produces execution
-time, average package power and energy, through a roofline-style model
-with NUMA, SMT, fork/join and load-imbalance terms.
+time, average package power and energy, through a per-cluster
+roofline-style model with NUMA, SMT, DVFS, fork/join and load-imbalance
+terms.  ``docs/machine.md`` gives the equations; every machine, the
+paper's Xeon included, goes through the same path.
 
 Model summary (one kernel invocation):
 
-* serial share runs on one core: ``serial_cycles / f``;
-* parallel share is divided by the team's *compute capacity* (one unit
-  per core, +28% for a second SMT thread on the same core), degraded by
-  static-scheduling imbalance and, for dependence-limited kernels
-  (seidel-2d, nussinov), by a sublinear scaling exponent;
+* every busy socket runs at its cluster's clock for its active-core
+  count (fixed nominal clock without a DVFS table);
+* the serial share runs on the fastest participating core;
+* the parallel share is divided by the team's capacity (one unit per
+  busy core, plus ``smt_speedup`` for a second SMT thread on a core, at
+  that socket's clock), degraded by static-scheduling imbalance, by the
+  slowest cluster's pace when a team straddles clusters, and, for
+  dependence-limited kernels (seidel-2d, nussinov), by a sublinear
+  scaling exponent;
 * DRAM time is ``traffic / effective bandwidth``; traffic follows a
-  working-set vs. LLC capacity model (spread binding doubles both the
-  usable LLC and the bandwidth, but remote-socket threads only see
-  ``numa_remote_factor`` of their bandwidth because first-touch places
-  the data on socket 0);
+  working-set vs. LLC capacity model over the busy sockets' caches, and
+  remote-socket threads only see ``numa_remote_factor`` of their
+  bandwidth because first-touch places the data on socket 0;
 * compute and memory overlap partially (out-of-order cores prefetch);
 * every OpenMP parallel region pays a fork/join cost growing with team
   size, and doubled when the team spans sockets.
@@ -31,12 +36,10 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.gcc.compiler import CompiledKernel
-from repro.machine.dvfs import TurboModel
-from repro.machine.openmp import BindingPolicy, ThreadPlacement
+from repro.machine.openmp import ThreadPlacement
 from repro.machine.power import PowerBreakdown, PowerModel, invocation_energy
 from repro.machine.topology import Machine
 
-_PER_THREAD_BANDWIDTH = 13e9  # one thread cannot saturate a socket
 _FORK_JOIN_BASE_S = 6e-6
 _FORK_JOIN_PER_THREAD_S = 4e-7
 _CROSS_SOCKET_SYNC_FACTOR = 1.9
@@ -73,17 +76,12 @@ class MachineExecutor:
         seed: int = 0x50C7,
         time_noise_sigma: float = 0.02,
         power_noise_sigma: float = 0.012,
-        turbo: Optional["TurboModel"] = None,
     ) -> None:
-        """``turbo`` opts into the explicit DVFS model
-        (:class:`repro.machine.dvfs.TurboModel`); by default frequency
-        effects stay folded into the calibrated base clock."""
         self._machine = machine
         self._power_model = power_model or PowerModel()
         self._rng = np.random.default_rng(seed)
         self._time_sigma = time_noise_sigma
         self._power_sigma = power_noise_sigma
-        self._turbo = turbo
 
     @property
     def machine(self) -> Machine:
@@ -179,101 +177,36 @@ class MachineExecutor:
 
     def _model_terms(
         self, kernel: CompiledKernel, placement: ThreadPlacement
-    ) -> Tuple[float, float, float, float, Optional[Dict[int, float]]]:
+    ) -> Tuple[float, float, float, float, Dict[int, float]]:
         """(time_s, intensity, utilization, bandwidth share, freq power).
 
-        The last element is the per-socket DVFS dynamic-power factor
-        for heterogeneous machines, ``None`` on homogeneous ones (where
-        frequency effects stay folded into the calibrated constants, or
-        come from the opt-in :class:`TurboModel`).
-        """
-        if self._machine.is_homogeneous:
-            return self._homogeneous_model_terms(kernel, placement)
-        if self._turbo is not None:
-            raise ValueError(
-                "TurboModel is the homogeneous-Xeon frequency model; "
-                "heterogeneous machines model DVFS through their clusters' "
-                "dvfs_states"
-            )
-        return self._clustered_model_terms(kernel, placement)
-
-    def _homogeneous_model_terms(
-        self, kernel: CompiledKernel, placement: ThreadPlacement
-    ) -> Tuple[float, float, float, float, None]:
-        """The calibrated single-cluster-type model (the paper's Xeon)."""
-        machine = self._machine
-        profile = kernel.profile
-        turbo_power = 1.0
-        if self._turbo is not None:
-            frequency = self._turbo.frequency(
-                machine, placement, vectorized=kernel.vector_width > 1.0
-            )
-            turbo_power = self._turbo.power_factor(frequency)
-        else:
-            frequency = machine.frequency_hz
-
-        serial_time = kernel.serial_cycles / frequency
-
-        capacity = self._compute_capacity(placement)
-        if profile.loop_carried_dependence:
-            capacity = capacity**_DEPENDENCE_SCALING_EXPONENT
-        imbalance = self._imbalance(profile, placement)
-        parallel_compute = kernel.parallel_cycles / frequency / capacity * imbalance
-
-        traffic = self._dram_traffic(kernel, placement)
-        bandwidth = self._effective_bandwidth(placement)
-        memory_time = traffic / bandwidth
-
-        body = max(parallel_compute, memory_time) + (1.0 - _OVERLAP) * min(
-            parallel_compute, memory_time
-        )
-        fork_join = self._fork_join(profile.parallel_regions, placement)
-        time_s = serial_time + body + fork_join
-
-        utilization = self._utilization(parallel_compute, memory_time)
-        bandwidth_share = self._bandwidth_share(traffic, time_s, placement)
-        intensity = kernel.power_intensity * self._vector_power(kernel) * turbo_power
-        return time_s, intensity, utilization, bandwidth_share, None
-
-    def _clustered_model_terms(
-        self, kernel: CompiledKernel, placement: ThreadPlacement
-    ) -> Tuple[float, float, float, float, Dict[int, float]]:
-        """Per-cluster roofline for heterogeneous machines.
-
-        Every socket contributes capacity at its own cluster's clock
-        (the cluster's DVFS governor picks the state for its active-core
-        count), LLC slice and bandwidth.  A static-scheduled team that
-        straddles clusters of different speed is paced by the slowest
-        member — the chunks are equal, the cores are not.
+        The per-cluster roofline.  Every socket contributes capacity at
+        its own cluster's clock (the cluster's DVFS governor picks the
+        state for its active-core count), LLC slice and bandwidth.  A
+        static-scheduled team that straddles clusters of different speed
+        is paced by the slowest member — the chunks are equal, the cores
+        are not.  The last element maps each busy socket to the
+        dynamic-power factor of its DVFS state.
         """
         machine = self._machine
         profile = kernel.profile
 
-        busy_cores: Dict[int, set] = {}
-        smt_extra: Dict[Tuple[int, int], int] = {}
-        for place in placement.assignments:
-            busy_cores.setdefault(place[0], set()).add(place)
-            smt_extra[place] = smt_extra.get(place, 0) + 1
-        smt_pairs: Dict[int, int] = {}
-        for (socket, _core), count in smt_extra.items():
-            if count > 1:
-                smt_pairs[socket] = smt_pairs.get(socket, 0) + 1
-
+        occupancy = placement.occupancy
         freqs: Dict[int, float] = {}
         freq_power: Dict[int, float] = {}
-        for socket, cores in busy_cores.items():
+        for socket, load in occupancy.items():
             cluster = machine.cluster(socket)
-            freqs[socket] = cluster.effective_frequency(len(cores))
-            freq_power[socket] = cluster.freq_power_factor(len(cores))
+            freqs[socket] = cluster.effective_frequency(load.cores)
+            freq_power[socket] = cluster.freq_power_factor(load.cores)
 
         # the serial share runs on (the fastest of) the participating cores
         serial_time = kernel.serial_cycles / max(freqs.values())
 
         core_eq = 0.0
         capacity_hz = 0.0
-        for socket, cores in busy_cores.items():
+        for socket, load in occupancy.items():
             cluster = machine.cluster(socket)
-            eq = len(cores) + smt_pairs.get(socket, 0) * cluster.smt_speedup
+            eq = load.cores + load.smt_pairs * cluster.smt_speedup
             core_eq += eq
             capacity_hz += eq * freqs[socket]
         mean_freq = capacity_hz / core_eq
@@ -286,22 +219,21 @@ class MachineExecutor:
             imbalance *= mean_freq / min(freqs.values())
         parallel_compute = kernel.parallel_cycles / capacity_hz * imbalance
 
-        llc = sum(machine.cluster(socket).llc_bytes for socket in busy_cores)
+        llc = sum(machine.cluster(socket).llc_bytes for socket in occupancy)
         working_set = max(profile.working_set_bytes, 1.0)
         naive = profile.naive_bytes
         spill_fraction = max(0.0, (working_set - llc) / working_set)
         traffic = working_set + max(0.0, naive - working_set) * spill_fraction
 
-        per_socket = placement.threads_per_socket()
         bandwidth = 0.0
-        for socket, threads in per_socket.items():
+        for socket, load in occupancy.items():
             cluster = machine.cluster(socket)
             socket_peak = cluster.bandwidth_bytes_s
             if socket != 0:
                 socket_peak *= machine.numa_remote_factor
-            bandwidth += min(socket_peak, threads * cluster.per_thread_bandwidth)
+            bandwidth += min(socket_peak, load.threads * cluster.per_thread_bandwidth)
         floor = min(
-            machine.cluster(socket).per_thread_bandwidth for socket in per_socket
+            machine.cluster(socket).per_thread_bandwidth for socket in occupancy
         )
         bandwidth = max(bandwidth, floor * 0.5)
         memory_time = traffic / bandwidth
@@ -325,11 +257,6 @@ class MachineExecutor:
 
     # -- model terms -----------------------------------------------------------
 
-    def _compute_capacity(self, placement: ThreadPlacement) -> float:
-        """Core-equivalents of the team: SMT second threads add 28%."""
-        machine = self._machine
-        return placement.cores_used + placement.smt_pairs * machine.smt_speedup
-
     def _imbalance(self, profile, placement: ThreadPlacement) -> float:
         """Static-schedule imbalance of chunked parallel iterations."""
         threads = placement.num_threads
@@ -341,36 +268,6 @@ class MachineExecutor:
         chunks = np.ceil(iterations / threads)
         quantization = (chunks * threads) / iterations
         return float(max(1.0, quantization))
-
-    def _dram_traffic(self, kernel: CompiledKernel, placement: ThreadPlacement) -> float:
-        """Bytes pulled from DRAM during one invocation.
-
-        The working set is loaded at least once (cold misses); the part
-        of it that exceeds the usable LLC is re-streamed on every pass
-        over the data.
-        """
-        profile = kernel.profile
-        llc = len(placement.sockets_used) * self._machine.llc_bytes_per_socket
-        working_set = max(profile.working_set_bytes, 1.0)
-        naive = profile.naive_bytes
-        spill_fraction = max(0.0, (working_set - llc) / working_set)
-        return working_set + max(0.0, naive - working_set) * spill_fraction
-
-    def _effective_bandwidth(self, placement: ThreadPlacement) -> float:
-        """Aggregate DRAM bandwidth the team can actually draw.
-
-        First-touch puts the arrays on socket 0, so socket-0 threads
-        stream locally while other sockets cross the QPI link.
-        """
-        machine = self._machine
-        per_socket = placement.threads_per_socket()
-        total = 0.0
-        for socket, threads in per_socket.items():
-            socket_peak = machine.bandwidth_per_socket
-            if socket != 0:
-                socket_peak *= machine.numa_remote_factor
-            total += min(socket_peak, threads * _PER_THREAD_BANDWIDTH)
-        return max(total, _PER_THREAD_BANDWIDTH * 0.5)
 
     def _fork_join(self, regions: float, placement: ThreadPlacement) -> float:
         if regions <= 0 or placement.num_threads == 1:
@@ -387,14 +284,6 @@ class MachineExecutor:
         if total <= 0:
             return 1.0
         return max(0.35, min(1.0, compute_time / total))
-
-    def _bandwidth_share(
-        self, traffic: float, time_s: float, placement: ThreadPlacement
-    ) -> float:
-        peak = len(placement.sockets_used) * self._machine.bandwidth_per_socket
-        if time_s <= 0 or peak <= 0:
-            return 0.0
-        return min(1.0, traffic / time_s / peak)
 
     @staticmethod
     def _vector_power(kernel: CompiledKernel) -> float:

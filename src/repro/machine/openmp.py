@@ -10,7 +10,9 @@ semantics for those settings.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from repro.machine.topology import Machine
@@ -28,13 +30,28 @@ class BindingPolicy(enum.Enum):
 
 
 @dataclass(frozen=True)
+class SocketLoad:
+    """One socket's share of a thread team."""
+
+    threads: int
+    #: distinct busy cores
+    cores: int
+    #: cores running two (or more) threads via hyperthreading
+    smt_pairs: int
+
+
+#: The load of a socket the team does not touch.
+IDLE_SOCKET = SocketLoad(threads=0, cores=0, smt_pairs=0)
+
+
+@dataclass(frozen=True)
 class ThreadPlacement:
     """Where a thread team landed on the machine.
 
     ``assignments`` maps each OpenMP thread id to its (socket, core)
     place; with more threads than places, several threads share a core
     via SMT.  ``cluster`` names the cluster type the team was pinned to
-    (``None`` = the whole machine, the historical behaviour).
+    (``None`` = the whole machine).
     """
 
     policy: BindingPolicy
@@ -49,23 +66,22 @@ class ThreadPlacement:
     def sockets_used(self) -> Tuple[int, ...]:
         return tuple(sorted({socket for socket, _ in self.assignments}))
 
-    @property
-    def cores_used(self) -> int:
-        return len(set(self.assignments))
+    @cached_property
+    def occupancy(self) -> Dict[int, SocketLoad]:
+        """Per-socket load, keyed in order of first appearance in the team.
 
-    def threads_per_socket(self) -> Dict[int, int]:
-        counts: Dict[int, int] = {}
-        for socket, _ in self.assignments:
-            counts[socket] = counts.get(socket, 0) + 1
-        return counts
-
-    @property
-    def smt_pairs(self) -> int:
-        """Cores running two (or more) threads via hyperthreading."""
-        per_core: Dict[Tuple[int, int], int] = {}
-        for place in self.assignments:
-            per_core[place] = per_core.get(place, 0) + 1
-        return sum(1 for count in per_core.values() if count > 1)
+        Counted once per placement; the machine and power models read
+        it on every evaluation.
+        """
+        loads: Dict[int, SocketLoad] = {}
+        for (socket, _core), threads in Counter(self.assignments).items():
+            load = loads.get(socket, IDLE_SOCKET)
+            loads[socket] = SocketLoad(
+                threads=load.threads + threads,
+                cores=load.cores + 1,
+                smt_pairs=load.smt_pairs + (threads > 1),
+            )
+        return loads
 
 
 class OpenMPRuntime:

@@ -13,8 +13,8 @@ from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.machine.openmp import ThreadPlacement
-from repro.machine.topology import ClusterPower, Machine
+from repro.machine.openmp import IDLE_SOCKET, ThreadPlacement
+from repro.machine.topology import Machine
 
 #: RAPL-style power domains reported by the virtual meter.  ``package``
 #: is the per-socket aggregate; the other three partition it exactly
@@ -172,49 +172,21 @@ class PowerBreakdown:
 class PowerModel:
     """Package-level power as a function of activity.
 
-    ``uncore_w`` is paid per powered socket regardless of load (LLC,
-    memory controllers, fabric); each idle core costs ``idle_core_w``;
-    an active core adds ``active_core_w`` scaled by the workload's
-    power intensity (vector FP burns more than stalled memory waits);
-    a second SMT thread on a busy core adds ``smt_thread_w``; DRAM
-    power rises with the consumed bandwidth share.
+    Each socket pays its cluster's :class:`ClusterPower` envelope:
+    ``uncore_w`` per powered socket regardless of load (LLC, memory
+    controllers, fabric); ``idle_core_w`` per core; ``active_core_w``
+    per busy core, scaled by the workload's power intensity (vector FP
+    burns more than stalled memory waits) and by the dynamic-power
+    factor of the cluster's DVFS state; ``smt_thread_w`` per second SMT
+    thread on a busy core; and DRAM power rising with the consumed
+    bandwidth share.
     """
-
-    uncore_w: float = 13.0
-    idle_core_w: float = 0.75
-    active_core_w: float = 4.6
-    smt_thread_w: float = 0.65
-    dram_max_w: float = 9.0  # per socket at full bandwidth
-
-    def envelope(self, machine: Machine, socket: int) -> ClusterPower:
-        """The power envelope in effect on ``socket``.
-
-        A cluster carrying its own :class:`ClusterPower` uses it; the
-        rest fall back to this model's calibrated Xeon constants.
-        """
-        cluster = machine.cluster(socket)
-        if cluster.power is not None:
-            return cluster.power
-        return ClusterPower(
-            uncore_w=self.uncore_w,
-            idle_core_w=self.idle_core_w,
-            active_core_w=self.active_core_w,
-            smt_thread_w=self.smt_thread_w,
-            dram_max_w=self.dram_max_w,
-        )
 
     def idle_power(self, machine: Machine) -> float:
         """Whole-package idle power (all sockets powered)."""
-        if machine.is_homogeneous:
-            env = self.envelope(machine, 0)
-            return (
-                machine.sockets * env.uncore_w
-                + machine.physical_cores * env.idle_core_w
-            )
         total = 0.0
-        for socket in range(machine.sockets):
-            env = self.envelope(machine, socket)
-            total += env.uncore_w + machine.cluster(socket).cores * env.idle_core_w
+        for cluster in machine.clusters:
+            total += cluster.power.uncore_w + cluster.cores * cluster.power.idle_core_w
         return total
 
     def active_power(
@@ -231,21 +203,11 @@ class PowerModel:
         ``intensity`` is the compiled kernel's power-intensity factor,
         ``utilization`` the fraction of time cores do work rather than
         stall, and ``bandwidth_share`` the fraction of total DRAM
-        bandwidth in use.  ``freq_power`` (heterogeneous machines only)
-        maps sockets to the dynamic-power factor of the DVFS state their
-        cluster is running at.
+        bandwidth in use.  ``freq_power`` maps sockets to the
+        dynamic-power factor of the DVFS state their cluster is running
+        at (absent sockets run at 1.0).  The scalar is the breakdown's
+        package plane, so conservation is exact by construction.
         """
-        if machine.is_homogeneous and freq_power is None:
-            env = self.envelope(machine, 0)
-            power = self.idle_power(machine)
-            busy_cores = placement.cores_used
-            power += busy_cores * env.active_core_w * intensity * utilization
-            power += placement.smt_pairs * env.smt_thread_w * utilization
-            power += len(placement.sockets_used) * env.dram_max_w * bandwidth_share
-            return power
-        # heterogeneous machines attribute per socket; the scalar is the
-        # breakdown's package plane, so conservation is exact by
-        # construction
         return self.active_breakdown(
             machine,
             placement,
@@ -265,9 +227,8 @@ class PowerModel:
         nothing without traffic.
         """
         sockets = []
-        for socket in range(machine.sockets):
-            cluster = machine.cluster(socket)
-            env = self.envelope(machine, socket)
+        for socket, cluster in enumerate(machine.clusters):
+            env = cluster.power
             sockets.append(
                 DomainPower(
                     socket=socket,
@@ -296,35 +257,19 @@ class PowerModel:
         the team actually uses.  Summing the breakdown reproduces
         :meth:`active_power` (modulo floating-point reassociation).
         """
-        busy_cores_per_socket: Dict[int, set] = {}
-        smt_extra_per_place: Dict[Tuple[int, int], int] = {}
-        for place in placement.assignments:
-            busy_cores_per_socket.setdefault(place[0], set()).add(place)
-            smt_extra_per_place[place] = smt_extra_per_place.get(place, 0) + 1
-        smt_pairs_per_socket: Dict[int, int] = {}
-        for (socket, _core), count in smt_extra_per_place.items():
-            if count > 1:
-                smt_pairs_per_socket[socket] = smt_pairs_per_socket.get(socket, 0) + 1
-        sockets_used = set(placement.sockets_used)
+        occupancy = placement.occupancy
         sockets = []
-        for socket in range(machine.sockets):
-            cluster = machine.cluster(socket)
-            env = self.envelope(machine, socket)
+        for socket, cluster in enumerate(machine.clusters):
+            env = cluster.power
+            load = occupancy.get(socket, IDLE_SOCKET)
             core_w = cluster.cores * env.idle_core_w
-            active_w = (
-                len(busy_cores_per_socket.get(socket, ()))
-                * env.active_core_w
-                * intensity
-                * utilization
-            )
+            active_w = load.cores * env.active_core_w * intensity * utilization
             factor = freq_power.get(socket, 1.0) if freq_power else 1.0
             if factor != 1.0:
                 active_w *= factor
             core_w += active_w
-            core_w += (
-                smt_pairs_per_socket.get(socket, 0) * env.smt_thread_w * utilization
-            )
-            dram_w = env.dram_max_w * bandwidth_share if socket in sockets_used else 0.0
+            core_w += load.smt_pairs * env.smt_thread_w * utilization
+            dram_w = env.dram_max_w * bandwidth_share if socket in occupancy else 0.0
             sockets.append(
                 DomainPower(
                     socket=socket,

@@ -6,8 +6,7 @@ the evaluation engine and the bench scenarios all share these
 definitions.
 
 * ``xeon_2s`` — the paper's testbed (2x Xeon E5-2630 v3, 32 logical
-  CPUs).  This is the default and is bit-for-bit the historical
-  homogeneous machine.
+  CPUs).  This is the default.
 * ``xeon_1s`` — a single-socket cut of the same part, handy for
   experiments without NUMA effects.
 * ``biglittle_4p4e`` — an asymmetric part in the spirit of Novaes et

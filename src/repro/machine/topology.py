@@ -3,8 +3,8 @@
 A :class:`Machine` is an ordered list of :class:`Cluster`\\ s — groups
 of identical cores sharing a last-level cache, a memory interface and
 a power envelope.  Each cluster occupies one socket / NUMA position in
-the place enumeration.  The paper's homogeneous testbed (2x Xeon
-E5-2630 v3) is the degenerate case of two identical ``xeon`` clusters;
+the place enumeration.  The paper's testbed (2x Xeon E5-2630 v3) is
+the degenerate case of two identical ``xeon`` clusters;
 asymmetric big.LITTLE parts (see :mod:`repro.machine.registry`) mix
 clusters with different core counts, clocks, roofline terms and DVFS
 state tables.
@@ -21,8 +21,7 @@ class ClusterPower:
     """Per-cluster power envelope (watts), consumed by
     :class:`~repro.machine.power.PowerModel`.
 
-    When a cluster carries no envelope the model's own calibrated Xeon
-    constants apply, so the default machine's arithmetic is untouched.
+    The defaults are the calibrated Xeon E5-2630 v3 constants.
     """
 
     uncore_w: float = 13.0
@@ -38,9 +37,12 @@ class ClusterPower:
 class Cluster:
     """One group of identical cores (a Xeon socket, a P- or E-cluster).
 
-    ``dvfs_states`` lists the available frequency steps (Hz).  An empty
-    table means the cluster runs at its fixed nominal clock — how the
-    default machine folds turbo effects into calibrated constants.
+    The defaults describe one socket of the paper's testbed: a Xeon
+    E5-2630 v3 (Haswell-EP, 8 cores @ 2.4 GHz, 20 MB L3, 4-channel
+    DDR4-1866).  ``dvfs_states`` lists the available frequency steps
+    (Hz).  An empty table means the cluster runs at its fixed nominal
+    clock — how the default Xeon folds turbo effects into calibrated
+    constants.
     """
 
     name: str = "xeon"
@@ -52,7 +54,7 @@ class Cluster:
     per_thread_bandwidth: float = 13e9
     smt_speedup: float = 0.28  # extra throughput from the 2nd hw thread
     dvfs_states: Tuple[float, ...] = ()
-    power: Optional[ClusterPower] = None
+    power: ClusterPower = ClusterPower()
 
     def __post_init__(self) -> None:
         if self.cores < 1:
@@ -97,8 +99,9 @@ class Cluster:
         """Dynamic-power multiplier of the DVFS state in effect."""
         if not self.dvfs_states:
             return 1.0
-        exponent = self.power.power_exponent if self.power else 1.9
-        return (self.effective_frequency(active_cores) / self.frequency_hz) ** exponent
+        return (
+            self.effective_frequency(active_cores) / self.frequency_hz
+        ) ** self.power.power_exponent
 
 
 @dataclass(frozen=True)
@@ -123,82 +126,22 @@ class LogicalCpu:
         return self.place_index
 
 
-def _xeon_clusters(
-    sockets: int,
-    cores_per_socket: int,
-    threads_per_core: int,
-    frequency_hz: float,
-    llc_bytes_per_socket: float,
-    bandwidth_per_socket: float,
-    smt_speedup: float,
-) -> Tuple[Cluster, ...]:
-    cluster = Cluster(
-        name="xeon",
-        cores=cores_per_socket,
-        threads_per_core=threads_per_core,
-        frequency_hz=frequency_hz,
-        llc_bytes=llc_bytes_per_socket,
-        bandwidth_bytes_s=bandwidth_per_socket,
-        smt_speedup=smt_speedup,
-    )
-    return (cluster,) * sockets
-
-
 class Machine:
     """An ordered list of clusters; one cluster per socket/NUMA node.
 
-    The homogeneous-shorthand keywords (``sockets``,
-    ``cores_per_socket``, ...) build the classic symmetric machine and
-    default to the paper's testbed: 2x Xeon E5-2630 v3 (Haswell-EP, 8
-    cores @ 2.4 GHz, 20 MB L3, 4-channel DDR4-1866 => ~59 GB/s per
-    socket).  Passing ``clusters`` explicitly describes arbitrary
-    (possibly asymmetric) topologies.
+    ``numa_remote_factor`` is the share of its bandwidth a socket other
+    than socket 0 delivers (first-touch places the data on socket 0).
+    The registry (:mod:`repro.machine.registry`) names the platforms.
     """
 
     def __init__(
         self,
-        clusters: Optional[Sequence[Cluster]] = None,
+        clusters: Sequence[Cluster],
         *,
         name: Optional[str] = None,
         numa_remote_factor: float = 0.62,
-        sockets: Optional[int] = None,
-        cores_per_socket: Optional[int] = None,
-        threads_per_core: Optional[int] = None,
-        frequency_hz: Optional[float] = None,
-        llc_bytes_per_socket: Optional[float] = None,
-        bandwidth_per_socket: Optional[float] = None,
-        smt_speedup: Optional[float] = None,
     ) -> None:
-        shorthand = (
-            sockets,
-            cores_per_socket,
-            threads_per_core,
-            frequency_hz,
-            llc_bytes_per_socket,
-            bandwidth_per_socket,
-            smt_speedup,
-        )
-        if clusters is not None:
-            if any(value is not None for value in shorthand):
-                raise ValueError(
-                    "pass either clusters or the homogeneous shorthand "
-                    "keywords, not both"
-                )
-            self._clusters = tuple(clusters)
-        else:
-            self._clusters = _xeon_clusters(
-                sockets=2 if sockets is None else sockets,
-                cores_per_socket=8 if cores_per_socket is None else cores_per_socket,
-                threads_per_core=2 if threads_per_core is None else threads_per_core,
-                frequency_hz=2.4e9 if frequency_hz is None else frequency_hz,
-                llc_bytes_per_socket=(
-                    20e6 if llc_bytes_per_socket is None else llc_bytes_per_socket
-                ),
-                bandwidth_per_socket=(
-                    55e9 if bandwidth_per_socket is None else bandwidth_per_socket
-                ),
-                smt_speedup=0.28 if smt_speedup is None else smt_speedup,
-            )
+        self._clusters = tuple(clusters)
         if not self._clusters:
             raise ValueError("a machine needs at least one cluster")
         self._name = name or "custom"
@@ -257,9 +200,12 @@ class Machine:
 
     @property
     def is_homogeneous(self) -> bool:
-        """True when every socket hosts an identical cluster (the
-        degenerate case whose model arithmetic must stay byte-identical
-        to the historical symmetric machine)."""
+        """True when every socket hosts an identical cluster.
+
+        Such a machine has no cluster knob: its teams are never pinned
+        (see :meth:`cluster_pins`), which keeps the paper's three-knob
+        space.
+        """
         return all(cluster == self._clusters[0] for cluster in self._clusters[1:])
 
     def cluster_names(self) -> Tuple[str, ...]:
@@ -291,40 +237,20 @@ class Machine:
             for socket in self.cluster_sockets(name)
         )
 
-    # -- homogeneous accessors -------------------------------------------------
+    def cluster_pins(
+        self,
+    ) -> Tuple[Tuple[Optional[str], ...], Optional[Dict[str, int]]]:
+        """Values of the cluster knob and the logical CPUs behind each.
 
-    def _uniform(self, attribute: str):
-        values = {getattr(cluster, attribute) for cluster in self._clusters}
-        if len(values) > 1:
-            raise ValueError(
-                f"machine {self._name!r} is heterogeneous: {attribute} differs "
-                f"across clusters; query a specific cluster instead"
-            )
-        return next(iter(values))
-
-    @property
-    def cores_per_socket(self) -> int:
-        return self._uniform("cores")
-
-    @property
-    def threads_per_core(self) -> int:
-        return self._uniform("threads_per_core")
-
-    @property
-    def frequency_hz(self) -> float:
-        return self._uniform("frequency_hz")
-
-    @property
-    def llc_bytes_per_socket(self) -> float:
-        return self._uniform("llc_bytes")
-
-    @property
-    def bandwidth_per_socket(self) -> float:
-        return self._uniform("bandwidth_bytes_s")
-
-    @property
-    def smt_speedup(self) -> float:
-        return self._uniform("smt_speedup")
+        A homogeneous machine has the single value ``None`` (no pin, the
+        paper's three-knob space) and no capacities; a heterogeneous one
+        has one pin per cluster type, each capped at that type's
+        logical CPUs.
+        """
+        if self.is_homogeneous:
+            return (None,), None
+        pins = self.cluster_names()
+        return pins, {name: self.cluster_logical_cpus(name) for name in pins}
 
     # -- enumeration -----------------------------------------------------------
 

@@ -87,6 +87,15 @@ class TestRoofline:
         assert outcome["bound"] in ("compute", "memory")
         assert outcome["ridge_flops_per_byte"] > 0
 
+    def test_classification_sums_every_cluster_on_biglittle(self):
+        app = load("2mm")
+        report = kernel_cost_report(app.parse(), app.kernels[0])
+        machine = resolve_machine("biglittle_8p8e")
+        outcome = roofline_classification(report, machine)
+        # 2x(4 P @ 3.2 GHz) + 2x(4 E @ 1.6 GHz) over 2x30 + 2x20 GB/s
+        assert outcome["ridge_flops_per_byte"] == pytest.approx(38.4e9 / 100e9)
+        assert outcome["bound"] in ("compute", "memory")
+
     def test_predictor_is_deterministic_and_cached(self):
         from repro.machine.executor import MachineExecutor
         from repro.machine.openmp import OpenMPRuntime

@@ -35,6 +35,19 @@ def bl_executor(biglittle):
 
 
 @pytest.fixture(scope="module")
+def xeon_turbo():
+    """The paper's Xeon with Turbo Boost expressed as a DVFS table: 2.4 GHz
+    nominal, 2.6 GHz all-core up to 3.2 GHz single-core turbo."""
+    turbo = Cluster(dvfs_states=(2.6e9, 2.8e9, 3.0e9, 3.2e9))
+    return Machine((turbo, turbo), name="xeon_2s_turbo")
+
+
+@pytest.fixture(scope="module")
+def k3mm(compiler):
+    return compiler.compile(profile_kernel(load("3mm")), FlagConfiguration(OptLevel.O2))
+
+
+@pytest.fixture(scope="module")
 def k2mm(compiler):
     return compiler.compile(profile_kernel(load("2mm")), FlagConfiguration(OptLevel.O3))
 
@@ -143,6 +156,50 @@ class TestClusterDvfs:
         )
         assert p.freq_power_factor(p.cores) < p.freq_power_factor(1)
 
+    def test_xeon_turbo_table_single_core_fastest(self, xeon_turbo):
+        turbo = xeon_turbo.cluster(0)
+        assert turbo.effective_frequency(1) == 3.2e9
+        assert turbo.effective_frequency(turbo.cores) == 2.6e9
+        assert turbo.effective_frequency(1) > 2.6e9 > turbo.frequency_hz
+
+    def test_xeon_turbo_table_spread_keeps_higher_clocks(self, xeon_turbo):
+        # 8 threads spread = 4 busy cores per socket -> higher turbo bin
+        omp = OpenMPRuntime(xeon_turbo)
+
+        def clock(placement):
+            return min(
+                xeon_turbo.cluster(socket).effective_frequency(load.cores)
+                for socket, load in placement.occupancy.items()
+            )
+
+        close = clock(omp.place(8, BindingPolicy.CLOSE))
+        spread = clock(omp.place(8, BindingPolicy.SPREAD))
+        assert spread > close
+
+    def test_xeon_turbo_table_power_factor_grows_with_clock(self, xeon_turbo):
+        turbo = xeon_turbo.cluster(0)
+        assert turbo.freq_power_factor(1) > turbo.freq_power_factor(turbo.cores)
+        assert turbo.freq_power_factor(turbo.cores) > Cluster().freq_power_factor(1)
+        assert Cluster().freq_power_factor(1) == 1.0
+
+    def test_xeon_turbo_table_speeds_up_one_thread(self, xeon_turbo, k3mm):
+        base = MachineExecutor(get_machine("xeon_2s"))
+        boosted = MachineExecutor(xeon_turbo)
+        placement = OpenMPRuntime(xeon_turbo).place(1, BindingPolicy.CLOSE)
+        assert (
+            boosted.evaluate(k3mm, placement).time_s
+            < base.evaluate(k3mm, placement).time_s
+        )
+
+    def test_xeon_turbo_table_raises_power_at_full_load(self, xeon_turbo, k3mm):
+        base = MachineExecutor(get_machine("xeon_2s"))
+        boosted = MachineExecutor(xeon_turbo)
+        placement = OpenMPRuntime(xeon_turbo).place(16, BindingPolicy.CLOSE)
+        assert (
+            boosted.evaluate(k3mm, placement).power_w
+            > base.evaluate(k3mm, placement).power_w
+        )
+
     def test_unsorted_dvfs_table_rejected(self):
         with pytest.raises(ValueError, match="sorted ascending"):
             Cluster(name="bad", dvfs_states=(2.0e9, 1.0e9))
@@ -169,7 +226,8 @@ class TestClusterPlacement:
     def test_unpinned_team_straddles_the_cluster_boundary(self, bl_omp):
         placement = bl_omp.place(8, BindingPolicy.CLOSE)
         assert set(placement.sockets_used) == {0, 1}
-        assert placement.threads_per_socket() == {0: 4, 1: 4}
+        occupancy = placement.occupancy
+        assert occupancy[0].threads == occupancy[1].threads == 4
 
     def test_close_fills_p_cluster_first(self, bl_omp):
         placement = bl_omp.place(4, BindingPolicy.CLOSE)
@@ -234,25 +292,6 @@ class TestHeterogeneousExecutor:
             for name in breakdown.cluster_names()
         )
         assert cluster_packages == pytest.approx(totals["package"], abs=1e-9)
-
-    def test_turbo_model_rejected_on_heterogeneous_machine(
-        self, biglittle, bl_omp, k2mm
-    ):
-        from repro.machine.dvfs import TurboModel
-
-        executor = MachineExecutor(biglittle, turbo=TurboModel())
-        placement = bl_omp.place(4, BindingPolicy.CLOSE, cluster="P")
-        with pytest.raises(ValueError, match="homogeneous"):
-            executor.run(k2mm, placement, noisy=False)
-
-    def test_homogeneous_accessors_raise_on_biglittle(self, biglittle):
-        # both clusters happen to have 4 cores, so the core count is
-        # uniform — but the clocks and cache sizes genuinely differ
-        assert biglittle.cores_per_socket == 4
-        with pytest.raises(ValueError, match="heterogeneous"):
-            biglittle.frequency_hz
-        with pytest.raises(ValueError, match="heterogeneous"):
-            biglittle.llc_bytes_per_socket
 
 
 class TestClusterKnobRuntime:

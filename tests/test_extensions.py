@@ -1,5 +1,5 @@
 """Tests for the extension features: dataset presets, size-override
-profiling, the DVFS/turbo model, and pragma parse-back."""
+profiling, and pragma parse-back."""
 
 import pytest
 
@@ -10,10 +10,6 @@ from repro.gcc.flags import (
     cobayn_space,
     parse_pragma,
 )
-from repro.machine.dvfs import TurboModel
-from repro.machine.executor import MachineExecutor
-from repro.machine.openmp import BindingPolicy, OpenMPRuntime
-from repro.machine.topology import default_machine
 from repro.polybench.datasets import DATASETS, PRESETS, dataset_sizes, preset_names
 from repro.polybench.suite import BENCHMARK_NAMES, load
 from repro.polybench.workload import WorkloadAnalysisError, profile_kernel
@@ -73,75 +69,6 @@ class TestSizeOverrides:
     def test_mini_dataset_fits_cache(self):
         mini = profile_kernel(load("2mm"), size_overrides=dataset_sizes("2mm", "MINI"))
         assert mini.working_set_bytes < 1e5
-
-
-class TestTurboModel:
-    def test_single_core_fastest(self):
-        machine = default_machine()
-        omp = OpenMPRuntime(machine)
-        turbo = TurboModel()
-        f1 = turbo.frequency(machine, omp.place(1, BindingPolicy.CLOSE), False)
-        f8 = turbo.frequency(machine, omp.place(8, BindingPolicy.CLOSE), False)
-        assert f1 == turbo.single_core_turbo_hz
-        assert f8 == turbo.all_core_turbo_hz
-        assert f1 > f8 > turbo.min_hz
-
-    def test_spread_keeps_higher_clocks(self):
-        # 8 threads spread = 4 busy cores per socket -> higher turbo bin
-        machine = default_machine()
-        omp = OpenMPRuntime(machine)
-        turbo = TurboModel()
-        close = turbo.frequency(machine, omp.place(8, BindingPolicy.CLOSE), False)
-        spread = turbo.frequency(machine, omp.place(8, BindingPolicy.SPREAD), False)
-        assert spread > close
-
-    def test_avx_offset_applies(self):
-        machine = default_machine()
-        omp = OpenMPRuntime(machine)
-        turbo = TurboModel()
-        scalar = turbo.frequency(machine, omp.place(4, BindingPolicy.CLOSE), False)
-        vector = turbo.frequency(machine, omp.place(4, BindingPolicy.CLOSE), True)
-        assert vector == pytest.approx(scalar - turbo.avx_offset_hz)
-
-    def test_power_factor_grows_with_clock(self):
-        turbo = TurboModel()
-        assert turbo.power_factor(3.2e9) > turbo.power_factor(2.4e9) == 1.0
-
-    def test_invalid_bins_rejected(self):
-        with pytest.raises(ValueError):
-            TurboModel(all_core_turbo_hz=3.4e9, single_core_turbo_hz=3.2e9)
-
-    def test_executor_with_turbo_speeds_up_small_teams(self):
-        from repro.gcc.compiler import Compiler
-
-        machine = default_machine()
-        omp = OpenMPRuntime(machine)
-        compiled = Compiler().compile(
-            profile_kernel(load("3mm")), FlagConfiguration(OptLevel.O2)
-        )
-        base = MachineExecutor(machine)
-        boosted = MachineExecutor(machine, turbo=TurboModel())
-        placement = omp.place(1, BindingPolicy.CLOSE)
-        assert (
-            boosted.evaluate(compiled, placement).time_s
-            < base.evaluate(compiled, placement).time_s
-        )
-
-    def test_turbo_raises_power_at_full_load(self):
-        from repro.gcc.compiler import Compiler
-
-        machine = default_machine()
-        omp = OpenMPRuntime(machine)
-        compiled = Compiler().compile(
-            profile_kernel(load("3mm")), FlagConfiguration(OptLevel.O2)
-        )
-        base = MachineExecutor(machine)
-        boosted = MachineExecutor(machine, turbo=TurboModel())
-        placement = omp.place(16, BindingPolicy.CLOSE)
-        assert (
-            boosted.evaluate(compiled, placement).power_w
-            > base.evaluate(compiled, placement).power_w
-        )
 
 
 class TestPragmaParseBack:

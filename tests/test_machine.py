@@ -1,6 +1,8 @@
 """Tests for the simulated machine: topology, OpenMP placement, power,
 and the executor model's qualitative behaviour."""
 
+import math
+
 import pytest
 
 from repro.gcc.compiler import Compiler
@@ -11,6 +13,14 @@ from repro.machine.power import PowerModel, RaplMeter
 from repro.machine.topology import Machine, default_machine
 from repro.polybench.suite import load
 from repro.polybench.workload import profile_kernel
+
+
+def _cores_used(placement):
+    return sum(load.cores for load in placement.occupancy.values())
+
+
+def _smt_pairs(placement):
+    return sum(load.smt_pairs for load in placement.occupancy.values())
 
 
 @pytest.fixture(scope="module")
@@ -63,28 +73,28 @@ class TestPlacement:
 
     def test_spread_balances_threads(self, omp):
         placement = omp.place(8, BindingPolicy.SPREAD)
-        per_socket = placement.threads_per_socket()
-        assert per_socket[0] == per_socket[1] == 4
+        per_socket = placement.occupancy
+        assert per_socket[0].threads == per_socket[1].threads == 4
 
     def test_no_smt_until_cores_exhausted(self, omp):
         for threads in (1, 8, 16):
             for policy in BindingPolicy:
-                assert omp.place(threads, policy).smt_pairs == 0
+                assert _smt_pairs(omp.place(threads, policy)) == 0
 
     def test_smt_pairs_beyond_16(self, omp):
         placement = omp.place(20, BindingPolicy.CLOSE)
-        assert placement.smt_pairs == 4
-        assert placement.cores_used == 16
+        assert _smt_pairs(placement) == 4
+        assert _cores_used(placement) == 16
 
     def test_full_machine(self, omp):
         placement = omp.place(32, BindingPolicy.SPREAD)
-        assert placement.cores_used == 16
-        assert placement.smt_pairs == 16
+        assert _cores_used(placement) == 16
+        assert _smt_pairs(placement) == 16
 
     def test_single_thread(self, omp):
         placement = omp.place(1, BindingPolicy.CLOSE)
         assert placement.num_threads == 1
-        assert placement.cores_used == 1
+        assert _cores_used(placement) == 1
 
     def test_rejects_zero_threads(self, omp):
         with pytest.raises(ValueError):
@@ -215,3 +225,93 @@ class TestExecutor:
         executor.reseed(9)
         again = executor.run(k2mm, placement).time_s
         assert first == again
+
+
+def _xeon_reference(kernel, placement, sockets):
+    """The Xeon equations of docs/machine.md, written out on their own:
+    2.4 GHz, +28% SMT, 20 MB LLC and 55 GB/s per socket, 13 GB/s per
+    thread, 0.62 remote share, and the calibrated power envelope."""
+    profile = kernel.profile
+    threads = placement.num_threads
+    per_core = {}
+    for place in placement.assignments:
+        per_core[place] = per_core.get(place, 0) + 1
+    cores_used = len(per_core)
+    smt_pairs = sum(1 for count in per_core.values() if count > 1)
+    per_socket = {}
+    for socket, _core in placement.assignments:
+        per_socket[socket] = per_socket.get(socket, 0) + 1
+    used = len(per_socket)
+
+    f = 2.4e9
+    capacity = cores_used + 0.28 * smt_pairs
+    if profile.loop_carried_dependence:
+        capacity = capacity**0.62
+    imbalance = 1.0
+    if threads > 1 and profile.parallel_regions:
+        iterations = profile.parallel_iterations / profile.parallel_regions
+        imbalance = max(1.0, math.ceil(iterations / threads) * threads / iterations)
+    t_compute = kernel.parallel_cycles / f / capacity * imbalance
+
+    working_set = max(profile.working_set_bytes, 1.0)
+    spill = max(0.0, (working_set - used * 20e6) / working_set)
+    traffic = working_set + max(0.0, profile.naive_bytes - working_set) * spill
+    bandwidth = sum(
+        min(55e9 * (1.0 if socket == 0 else 0.62), count * 13e9)
+        for socket, count in per_socket.items()
+    )
+    t_memory = traffic / max(bandwidth, 6.5e9)
+
+    fork_join = 0.0
+    if profile.parallel_regions > 0 and threads > 1:
+        fork_join = profile.parallel_regions * (6e-6 + 4e-7 * threads)
+        fork_join *= 1.9 if used > 1 else 1.0
+    time_s = (
+        kernel.serial_cycles / f
+        + max(t_compute, t_memory)
+        + 0.7 * min(t_compute, t_memory)
+        + fork_join
+    )
+
+    utilization = max(0.35, min(1.0, t_compute / max(t_compute, t_memory)))
+    intensity = kernel.power_intensity * (1.0 + 0.12 * (kernel.vector_width - 1.0) / 3.0)
+    bandwidth_share = min(1.0, traffic / time_s / (used * 55e9))
+    power_w = (
+        sockets * 13.0
+        + sockets * 8 * 0.75
+        + cores_used * 4.6 * intensity * utilization
+        + smt_pairs * 0.65 * utilization
+        + used * 9.0 * bandwidth_share
+    )
+    return time_s, power_w
+
+
+class TestXeonClosedForm:
+    """Every Xeon point of the cluster model matches the closed-form
+    Xeon equations: the testbed is the degenerate two-identical-cluster
+    case of the one machine model."""
+
+    @pytest.mark.parametrize("name", ["xeon_2s", "xeon_1s"])
+    @pytest.mark.parametrize(
+        "app, config",
+        [
+            # vectorized (AVX power term), memory-bound, loop-carried
+            ("2mm", FlagConfiguration(OptLevel.O3, frozenset({Flag.UNSAFE_MATH}))),
+            ("atax", FlagConfiguration(OptLevel.O2)),
+            ("seidel-2d", FlagConfiguration(OptLevel.O2)),
+        ],
+    )
+    def test_every_thread_count_and_binding(self, name, app, config, compiler):
+        from repro.machine.registry import get_machine
+
+        machine = get_machine(name)
+        omp = OpenMPRuntime(machine)
+        executor = MachineExecutor(machine)
+        kernel = compiler.compile(profile_kernel(load(app)), config)
+        for threads in range(1, machine.logical_cpus + 1):
+            for policy in BindingPolicy:
+                placement = omp.place(threads, policy)
+                result = executor.evaluate(kernel, placement)
+                time_s, power_w = _xeon_reference(kernel, placement, machine.sockets)
+                assert result.time_s == pytest.approx(time_s, rel=1e-12, abs=0)
+                assert result.power_w == pytest.approx(power_w, rel=1e-12, abs=0)

@@ -8,7 +8,7 @@ from repro.cir import Type, parse
 from repro.gcc.compiler import Compiler
 from repro.gcc.flags import Flag, FlagConfiguration, OptLevel
 from repro.machine.executor import ExecutionResult
-from repro.machine.topology import Machine, default_machine
+from repro.machine.topology import Cluster, Machine, default_machine
 from repro.polybench.apps.base import init_matrix, init_vector, scaled
 from repro.polybench.suite import load
 from repro.polybench.workload import profile_kernel
@@ -66,7 +66,7 @@ class TestExecutionResultProperties:
 
 class TestMachineObject:
     def test_custom_geometry(self):
-        machine = Machine(sockets=1, cores_per_socket=4, threads_per_core=1)
+        machine = Machine((Cluster(cores=4, threads_per_core=1),))
         assert machine.physical_cores == 4
         assert machine.logical_cpus == 4
         assert len(machine.core_places()) == 4

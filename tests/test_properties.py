@@ -310,8 +310,8 @@ class TestPlacementProperties:
     def test_spread_socket_balance(self, threads):
         omp = OpenMPRuntime(default_machine())
         placement = omp.place(threads, BindingPolicy.SPREAD)
-        per_socket = placement.threads_per_socket()
-        assert abs(per_socket.get(0, 0) - per_socket.get(1, 0)) <= 1
+        per_socket = placement.occupancy
+        assert abs(per_socket[0].threads - per_socket[1].threads) <= 1
 
 
 # ---------------------------------------------------------------------------

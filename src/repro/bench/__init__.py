@@ -46,7 +46,7 @@ from repro.bench.gate import (
     StageVerdict,
     compare_result,
 )
-from repro.bench.measure import AlertOverheadProbe, SpanTimer, peak_rss_kb
+from repro.bench.measure import SpanTimer, peak_rss_kb
 from repro.bench.scenarios import (
     BenchScenario,
     ScenarioResult,
@@ -63,7 +63,6 @@ __all__ = [
     "DEFAULT_MAD_K",
     "DEFAULT_MIN_DELTA_S",
     "DEFAULT_THRESHOLD",
-    "AlertOverheadProbe",
     "BaselineError",
     "BaselineFormatError",
     "BaselineNotFoundError",

@@ -100,8 +100,8 @@ class BenchBaseline:
     #: relative tolerance by the gate, so no schema bump is needed
     energy_j: Dict[str, float] = field(default_factory=dict)
     #: median of each named ``socrates_bench_ratio`` gauge the scenario
-    #: published (e.g. alerting/plain wall-clock); context only unless
-    #: a matching ``ratio_limits`` entry gates it
+    #: published (e.g. profiling time over workload wall-clock); context
+    #: only unless a matching ``ratio_limits`` entry gates it
     ratios: Dict[str, float] = field(default_factory=dict)
     #: hand-committed absolute caps: the gate fails when a fresh run's
     #: median ratio exceeds the cap (or the ratio went missing).  Never
@@ -204,8 +204,8 @@ def load_baseline(path: PathLike) -> BenchBaseline:
     """Read and validate a baseline file.
 
     This is the one loader behind every consumer (bench gate,
-    ``obs flame --against-baseline``, the SLO synthesis in
-    ``obs top``/alerts); failures raise the named
+    ``obs flame --against-baseline``, ``obs validate``); failures raise
+    the named
     :class:`BaselineError` subclasses, all of which are
     ``ValueError``\\ s.
     """

@@ -106,7 +106,7 @@ class RatioVerdict:
     """One named dimensionless ratio against its hand-committed cap.
 
     Unlike timings, ratio caps are absolute (no MAD scaling): a ratio
-    such as the alerting/plain overhead is already self-normalized
+    such as the profiling overhead is already self-normalized
     against the machine's speed, so the committed limit applies
     directly.  A fresh run that stopped publishing a gated ratio
     regresses too — silently dropping the measurement must not pass.

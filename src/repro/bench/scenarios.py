@@ -369,102 +369,6 @@ def _run_biglittle_power_cap(obs: Observability) -> Dict[str, object]:
 
 
 @register(
-    "alerting_overhead",
-    "adaptation loop with streaming SLO alerting under an in-situ hook "
-    "probe — gating the alerting-cost ratio via the baseline's "
-    "ratio_limits, plus a plain leg proving byte-identical records",
-)
-def _run_alerting_overhead(obs: Observability) -> Dict[str, object]:
-    import time as _time
-
-    from repro.core.scenario import Phase, Scenario
-    from repro.margot.state import (
-        OptimizationState,
-        maximize_throughput,
-        maximize_throughput_per_watt_squared,
-    )
-    from repro.obs.alerts import AlertPolicy
-    from repro.obs.energy import EnergyBudget
-    from repro.polybench.suite import load
-
-    def run_workload(inner: Observability):
-        flow = _quick_toolflow(inner)
-        app = flow.build(load("mvt")).adaptive
-        app.add_state(
-            OptimizationState(
-                "Thr/W^2", rank=maximize_throughput_per_watt_squared()
-            ),
-            activate=True,
-        )
-        app.add_state(OptimizationState("Throughput", rank=maximize_throughput()))
-        scenario = Scenario(
-            phases=[
-                Phase(0.0, "Thr/W^2"),
-                Phase(1.0, "Throughput"),
-                Phase(2.0, "Thr/W^2"),
-            ],
-            duration_s=3.0,
-        )
-        return flow, scenario.run(app)
-
-    # Each leg gets its OWN identically-seeded toolflow: sharing one
-    # engine would let the first leg advance shared RNG state and
-    # desync the second.  The overhead is NOT measured by comparing
-    # the legs' clocks — on a shared runner the legs see different
-    # interference windows and either wall or CPU clocks disagree by
-    # up to ±15% on identical work.  Instead an AlertOverheadProbe
-    # times the alerting hooks *inside* one leg, where numerator and
-    # denominator share a clock and an interference window (see the
-    # probe's docstring).  Two probed legs are run and the smaller
-    # ratio wins: contention only ever inflates the reading, so the
-    # lower leg is the one that saw the quieter window.  The 85 W
-    # budget sits below the workload's ~91 W draw, so the burn
-    # detector works continuously — the measured overhead includes
-    # the alert/incident path, not just idle detector updates.
-    from repro.bench.measure import AlertOverheadProbe
-
-    policy = AlertPolicy(
-        budgets=(EnergyBudget("bench_cap", power_w=85.0),),
-        burn_short_s=0.1,
-        burn_long_s=0.5,
-        flight_capacity=128,
-    )
-    pc = _time.perf_counter
-    ratios: List[float] = []
-    flow_alert = None
-    records_alert = None
-    engine = None
-    for _leg in range(2):
-        alert_obs = Observability(alerting=True, alert_policy=policy)
-        engine = alert_obs.alerts
-        assert engine is not None
-        probe = AlertOverheadProbe(engine).install()
-        with obs.tracer.span("overhead:alerting"):
-            started = pc()
-            flow_alert, records_alert = run_workload(alert_obs)
-            total_s = pc() - started
-        ratios.append(probe.overhead_ratio(total_s))
-    with obs.tracer.span("overhead:baseline"):
-        _, records_plain = run_workload(Observability())
-    ratio = min(ratios)
-    obs.metrics.gauge(
-        "socrates_bench_ratio",
-        help="dimensionless ratio measured by a bench scenario",
-        labels={"name": "alerting_overhead"},
-    ).set(ratio)
-    assert engine is not None and flow_alert is not None
-    return {
-        "invocations": len(records_alert),
-        # alerting on vs. off must not perturb the workload itself —
-        # the null-object discipline's contract, checked every repeat
-        "records_identical": records_plain == records_alert,
-        "alerts": len(engine.alerts),
-        "incidents": len(engine.incidents),
-        "points_evaluated": flow_alert.engine.counters.points_evaluated,
-    }
-
-
-@register(
     "profiling_overhead",
     "adaptation loop plus an in-situ probe of the causal profiling "
     "observatory: flame collapse, folded round-trip and what-if replay "
@@ -509,8 +413,12 @@ def _run_profiling_overhead(obs: Observability) -> Dict[str, object]:
         )
         return flow, scenario.run(app)
 
-    # Same measurement discipline as alerting_overhead: numerator and
-    # denominator share one leg's clock and interference window, two
+    # Each leg gets its own identically-seeded toolflow, so no leg can
+    # advance RNG state the next one shares.  The overhead is not the
+    # difference of two legs' clocks: on a shared runner the legs see
+    # different interference windows, and wall or CPU clocks disagree
+    # by up to ±15% on identical work.  Instead numerator and
+    # denominator share one leg's clock and interference window; two
     # legs run and the smaller ratio wins (contention only inflates
     # the reading).  Profiling is post-hoc — it runs *after* the
     # workload on the finished trace — so the probe times exactly what
@@ -623,11 +531,7 @@ class ScenarioResult:
     stack_counts: Dict[str, int] = field(default_factory=dict)
 
 
-def run_scenario(
-    name: str,
-    repeats: int = 3,
-    obs_factory: Optional[Callable[[], Observability]] = None,
-) -> ScenarioResult:
+def run_scenario(name: str, repeats: int = 3) -> ScenarioResult:
     """Run scenario ``name`` ``repeats`` times under tracing.
 
     Raises :class:`ValueError` for unknown scenarios, a repeat count
@@ -637,7 +541,6 @@ def run_scenario(
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     scenario = get_scenario(name)
-    factory = obs_factory if obs_factory is not None else Observability
     wall_s: List[float] = []
     per_repeat_totals: List[Dict[str, float]] = []
     per_repeat_stacks: List[Dict[str, float]] = []
@@ -648,7 +551,7 @@ def run_scenario(
     energy_j: Dict[str, float] = {}
     ratios: Dict[str, List[float]] = {}
     for repeat in range(repeats):
-        obs = factory()
+        obs = Observability()
         with obs.tracer.span(f"bench:{name}", scenario=name, repeat=repeat):
             result = scenario.runner(obs)
         spans = obs.tracer.spans

@@ -10,7 +10,7 @@ Subcommands cover the whole reproduction workflow:
 ``build``        run the full toolflow; optionally save the oplist/source
 ``trace``        run a runtime scenario from a JSON mARGOt configuration
 ``check``        static analysis: OpenMP race lint + weave verification
-``obs``          export/validate/diff traces, metrics dumps; live dashboard
+``obs``          export/validate/diff traces, flame graphs, what-if; dashboard
 ``energy``       virtual-RAPL energy observatory: report, timeline, budget SLOs
 ``bench``        performance observatory: baselines and the regression gate
 ``table1``       regenerate Table I
@@ -45,22 +45,6 @@ def _add_machine_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_store_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--store",
-        metavar="DIR",
-        help="also record this invocation into the telemetry warehouse at DIR "
-        "(runs under the deterministic virtual clock)",
-    )
-    parser.add_argument(
-        "--store-label",
-        default="",
-        metavar="LABEL",
-        help="label mixed into the recorded run's identity "
-        "(distinguishes otherwise identical runs)",
-    )
-
-
 def _make_obs(args: argparse.Namespace):
     """An enabled Observability when any obs flag asks for one, else None."""
     if (
@@ -79,7 +63,12 @@ def _toolflow(args: argparse.Namespace, obs=None):
 
     threads = None
     if getattr(args, "threads", None):
-        threads = sorted({int(t) for t in args.threads.split(",")})
+        try:
+            threads = sorted({int(t) for t in args.threads.split(",")})
+        except ValueError:
+            raise ValueError(
+                f"--threads expects comma-separated integers, got {args.threads!r}"
+            ) from None
     backend = None
     if getattr(args, "workers", None):
         from repro.engine import ProcessPoolBackend
@@ -234,38 +223,12 @@ def cmd_build(args: argparse.Namespace) -> int:
     import json
 
     json_mode = getattr(args, "json", False)
-    store_dir = getattr(args, "store", None)
-    if store_dir:
-        # warehouse mode: the build runs under the deterministic
-        # virtual tracer clock so the recorded run id and artifact
-        # hashes are pure functions of (source, machine, seed, knobs)
-        from repro.obs.store import recording_observability
-
-        obs = recording_observability()
-    else:
-        obs = _make_obs(args)
+    obs = _make_obs(args)
     flow = _toolflow(args, obs=obs)
     app = _load_app(args.app)
     if not json_mode:
         print(f"Building adaptive {app.name}...")
-    if store_dir:
-        with obs.tracer.span(f"build:{app.name}") as build_span:
-            result = flow.build(app)
-        obs.absorb_engine(flow.engine)
-        run_id, created = _store_build_run(
-            _open_store(store_dir),
-            flow,
-            app,
-            result,
-            obs,
-            build_span.duration_s,
-            getattr(args, "store_label", "") or "",
-            {},
-        )
-        verb = "recorded" if created else "already recorded"
-        print(f"{verb} build run {run_id} in {store_dir}", file=sys.stderr)
-    else:
-        result = flow.build(app)
+    result = flow.build(app)
     if not json_mode:
         print("Custom flags (COBAYN):")
         for index, config in enumerate(result.custom_flags, start=1):
@@ -328,73 +291,37 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
+    import json
+
     from repro.core.scenario import Phase, Scenario
     from repro.core.trace import summarize_phases, trace_to_csv
     from repro.margot.config import apply_configuration, load_config
 
-    import contextlib
-
-    config = load_config(args.config)
-    store_dir = getattr(args, "store", None)
-    if store_dir:
-        from repro.obs.store import recording_observability
-
-        obs = recording_observability()
-    else:
-        obs = _make_obs(args)
+    try:
+        with open(args.config) as handle:
+            text = handle.read()
+    except OSError as error:
+        raise ValueError(
+            f"{args.config}: cannot read configuration ({error.strerror or error})"
+        ) from None
+    try:
+        document = json.loads(text)
+    except json.JSONDecodeError as error:
+        raise ValueError(f"{args.config}: invalid JSON configuration ({error})") from None
+    config = load_config(document)
+    names = config.state_names()
+    interval = args.duration / len(names)
+    phases = [Phase(index * interval, name) for index, name in enumerate(names)]
+    scenario = Scenario(phases=phases, duration_s=args.duration)
+    obs = _make_obs(args)
     flow = _toolflow(args, obs=obs)
     app_def = _load_app(config.kernel)
     print(f"Building adaptive {config.kernel}...")
-    with contextlib.ExitStack() as stack:
-        trace_span = (
-            stack.enter_context(obs.tracer.span(f"trace:{config.kernel}"))
-            if store_dir
-            else None
-        )
-        result = flow.build(app_def)
-        app = result.adaptive
-        apply_configuration(config, app)
-
-        phase_specs = []
-        names = config.state_names()
-        interval = args.duration / len(names)
-        for index, name in enumerate(names):
-            phase_specs.append(Phase(index * interval, name))
-        scenario = Scenario(phases=phase_specs, duration_s=args.duration)
-        print(f"Running {args.duration:.0f}s over states: {', '.join(names)}")
-        records = scenario.run(app)
-
-    def record_trace_run() -> None:
-        import hashlib
-
-        identity = flow.run_identity()
-        machine = str(identity.pop("machine"))
-        seed = int(identity.pop("seed"))
-        with open(args.config, "rb") as handle:
-            config_sha = hashlib.sha256(handle.read()).hexdigest()
-        blobs, derivations = _warehouse_artifacts(obs)
-        run_id, created = _open_store(store_dir).record(
-            "trace",
-            app=config.kernel,
-            machine=machine,
-            seed=seed,
-            label=getattr(args, "store_label", "") or "",
-            source=app_def.source_fingerprint(),
-            knobs={
-                **identity,
-                "config_sha256": config_sha,
-                "duration": args.duration,
-                "slowdowns": [],
-            },
-            metrics={
-                "wall_s": trace_span.duration_s,
-                "invocations": len(records),
-            },
-            artifacts=blobs,
-            derivations=derivations,
-        )
-        verb = "recorded" if created else "already recorded"
-        print(f"{verb} trace run {run_id} in {store_dir}", file=sys.stderr)
+    result = flow.build(app_def)
+    app = result.adaptive
+    apply_configuration(config, app)
+    print(f"Running {args.duration:.0f}s over states: {', '.join(names)}")
+    records = scenario.run(app)
     for summary in summarize_phases(records, scenario):
         print(
             f"  [{summary.start_s:6.1f}-{summary.end_s:6.1f}s] {summary.state:14s} "
@@ -409,10 +336,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
         obs.absorb_engine(flow.engine)
         obs.absorb_monitors(app.manager.monitors)
         _write_obs_artifacts(obs, args)
-    if store_dir:
-        # record only after the engine counters and monitor statistics
-        # were absorbed, so the stored metrics.prom carries them
-        record_trace_run()
     return 0
 
 
@@ -640,15 +563,9 @@ def cmd_dse(args: argparse.Namespace) -> int:
 
     app = _load_app(args.app)
     machine = getattr(args, "machine", None)
-    store_dir = getattr(args, "store", None)
 
-    def explore(plan, recording=False):
-        if recording:
-            from repro.obs.store import recording_observability
-
-            obs = recording_observability()
-        else:
-            obs = Observability()
+    def explore(plan):
+        obs = Observability()
         engine = EvaluationEngine(machine=machine, obs=obs)
         explorer = DesignSpaceExplorer(
             engine.compiler,
@@ -686,37 +603,8 @@ def cmd_dse(args: argparse.Namespace) -> int:
         resolved = resolve_machine(machine)
         plan = build_prune_plan(app, _standard_space(resolved), machine=resolved)
 
-    engine, result, front, obs = explore(plan, recording=bool(store_dir))
+    engine, result, front, obs = explore(plan)
     counters = engine.counters
-    if store_dir:
-        knobs = {
-            "repetitions": args.repetitions,
-            "pruned": plan is not None,
-            "slowdowns": [],
-        }
-        wall = sum(
-            span.duration_s for span in obs.tracer.spans if span.parent_id is None
-        )
-        blobs, derivations = _warehouse_artifacts(obs)
-        run_id, created = _open_store(store_dir).record(
-            "dse",
-            app=app.name,
-            machine=engine.machine.name,
-            seed=args.seed,
-            label=getattr(args, "store_label", "") or "",
-            source=app.source_fingerprint(),
-            knobs=knobs,
-            metrics={
-                "wall_s": wall,
-                "points_evaluated": counters.points_evaluated,
-                "front_size": len(front),
-                "space_size": result.space_size,
-            },
-            artifacts=blobs,
-            derivations=derivations,
-        )
-        verb = "recorded" if created else "already recorded"
-        print(f"{verb} dse run {run_id} in {store_dir}", file=sys.stderr)
     fronts_identical = None
     if args.verify_front:
         _, baseline_result, baseline_front, _ = explore(None)
@@ -759,11 +647,10 @@ def cmd_dse(args: argparse.Namespace) -> int:
 def _fig5_scenario(args: argparse.Namespace, obs):
     """Build an adaptive app and run the fig5-style requirement flip.
 
-    The shared workload behind ``obs export``, the ``energy`` commands
-    and warehouse ``trace`` records: Thr/W^2 for the first third of
-    ``--duration``, plain Throughput for the middle third, Thr/W^2
-    again for the last.  Returns ``(toolflow_result, app, records,
-    toolflow)``.
+    The shared workload behind ``obs export`` and the ``energy``
+    commands: Thr/W^2 for the first third of ``--duration``, plain
+    Throughput for the middle third, Thr/W^2 again for the last.
+    Returns ``(toolflow_result, app, records, toolflow)``.
     """
     from repro.core.scenario import Phase, Scenario
     from repro.margot.state import (
@@ -772,6 +659,15 @@ def _fig5_scenario(args: argparse.Namespace, obs):
         maximize_throughput_per_watt_squared,
     )
 
+    third = args.duration / 3.0
+    scenario = Scenario(
+        phases=[
+            Phase(0.0, "Thr/W^2"),
+            Phase(third, "Throughput"),
+            Phase(2 * third, "Thr/W^2"),
+        ],
+        duration_s=args.duration,
+    )
     flow = _toolflow(args, obs=obs)
     app_def = _load_app(args.app)
     print(f"Building adaptive {app_def.name} (traced)...")
@@ -782,15 +678,6 @@ def _fig5_scenario(args: argparse.Namespace, obs):
         activate=True,
     )
     app.add_state(OptimizationState("Throughput", rank=maximize_throughput()))
-    third = args.duration / 3.0
-    scenario = Scenario(
-        phases=[
-            Phase(0.0, "Thr/W^2"),
-            Phase(third, "Throughput"),
-            Phase(2 * third, "Thr/W^2"),
-        ],
-        duration_s=args.duration,
-    )
     print(f"Running fig5-style scenario for {args.duration:.0f}s...")
     records = scenario.run(app)
     obs.absorb_engine(flow.engine)
@@ -845,8 +732,8 @@ def cmd_obs_validate(args: argparse.Namespace) -> int:
     recursively, every artifact with a recognized suffix is sniffed
     and validated (per-file verdict lines), files no validator claims
     are counted as skipped, and the first malformed artifact stops
-    the walk with exit 2 — so a whole telemetry warehouse or artifact
-    dump is checked in one call.
+    the walk with exit 2 — so a whole artifact dump is checked in one
+    call.
     """
     from pathlib import Path
 
@@ -1104,191 +991,6 @@ def cmd_obs_whatif(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_incident(args: argparse.Namespace):
-    """Pick one bundle under ``--dir`` by id prefix or ``--latest``.
-
-    Returns the loaded document.  Raises ValueError (exit 2) when the
-    selection is ambiguous, missing, or the directory has no bundles.
-    """
-    from repro.obs.flight import incident_paths, load_incident
-
-    paths = incident_paths(args.dir)
-    if not paths:
-        raise ValueError(f"{args.dir}: no INC_*.json incident bundles found")
-    prefix = getattr(args, "incident_id", None)
-    if prefix:
-        matches = [
-            path
-            for path in paths
-            if path.stem.removeprefix("INC_").startswith(prefix)
-        ]
-        if not matches:
-            raise ValueError(
-                f"{args.dir}: no incident id starts with {prefix!r} "
-                f"({len(paths)} bundle(s) present)"
-            )
-        if len(matches) > 1:
-            names = ", ".join(path.stem.removeprefix("INC_") for path in matches)
-            raise ValueError(f"incident id prefix {prefix!r} is ambiguous: {names}")
-        return load_incident(matches[0])
-    # --latest: highest alert timestamp wins, path name as tie-break
-    documents = [load_incident(path) for path in paths]
-    return max(documents, key=lambda doc: (doc.get("t", 0.0), doc.get("incident_id")))
-
-
-def cmd_obs_incidents_record(args: argparse.Namespace) -> int:
-    """Inject a power-cap violation and record the incident bundles.
-
-    Runs a 3-phase MAPE-K scenario on ``--machine`` where the outer
-    phases optimize throughput and blow through ``--power-budget``
-    while the middle phase caps power below it — so the burn-rate
-    detector fires once per violating phase, each alert snapshots the
-    flight recorder into an ``INC_*.json`` bundle, and the run is
-    fully seeded: repeated invocations produce byte-identical bundle
-    ids.
-    """
-    from pathlib import Path
-
-    from repro.core.scenario import Phase, Scenario
-    from repro.margot.goal import ComparisonFunction, Goal
-    from repro.margot.state import (
-        Constraint,
-        OptimizationState,
-        maximize_throughput,
-    )
-    from repro.obs import Observability
-    from repro.obs.alerts import AlertPolicy
-    from repro.obs.energy import EnergyBudget
-
-    policy = AlertPolicy(
-        budgets=(EnergyBudget("package_cap", power_w=args.power_budget),),
-        burn_short_s=0.1,
-        burn_long_s=0.5,
-    )
-    obs = Observability(alerting=True, alert_policy=policy)
-    engine = obs.alerts
-    assert engine is not None
-    if args.baseline:
-        from repro.bench import load_baseline
-
-        engine.baseline = load_baseline(args.baseline)
-    flow = _toolflow(args, obs=obs)
-    app_def = _load_app(args.app)
-    print(f"Building adaptive {app_def.name} on {flow.machine.name} (alerting)...")
-    result = flow.build(app_def)
-    app = result.adaptive
-    app.add_state(
-        OptimizationState("Throughput", rank=maximize_throughput()), activate=True
-    )
-    capped = OptimizationState("PowerCap", rank=maximize_throughput())
-    capped.add_constraint(
-        Constraint(Goal("power", ComparisonFunction.LESS_OR_EQUAL, args.power_cap))
-    )
-    app.add_state(capped)
-    third = args.duration / 3.0
-    scenario = Scenario(
-        phases=[
-            Phase(0.0, "Throughput"),
-            Phase(third, "PowerCap"),
-            Phase(2 * third, "Throughput"),
-        ],
-        duration_s=args.duration,
-    )
-    print(
-        f"Injecting power-cap violation: Throughput phases exceed the "
-        f"{args.power_budget:g} W budget, PowerCap holds {args.power_cap:g} W..."
-    )
-    records = scenario.run(app)
-    print(
-        f"{len(records)} invocations, {len(engine.alerts)} alert(s), "
-        f"{len(engine.incidents)} incident(s), "
-        f"{engine.suppressed} suppressed by cooldown"
-    )
-    out_dir = Path(args.out_dir)
-    for bundle in engine.incidents:
-        path = bundle.write(out_dir)
-        offender = bundle.attribution.get("span", "?")
-        print(f"  {bundle.incident_id}  t={bundle.t:7.3f}s  {bundle.alert['name']}")
-        print(f"    attribution: {offender}")
-        print(f"    -> {path}")
-    if obs.audit is not None and obs.audit.incidents:
-        print(
-            f"audit log: {len(obs.audit.incidents)} incident trace(s) "
-            f"cross-linked into {len(obs.audit)} adaptation entries"
-        )
-    if not engine.incidents:
-        print("no incidents fired (nothing written)")
-        return 1
-    return 0
-
-
-def cmd_obs_incidents_list(args: argparse.Namespace) -> int:
-    """One line per bundle under ``--dir``."""
-    from repro.obs.flight import incident_paths, load_incident
-
-    paths = incident_paths(args.dir)
-    if not paths:
-        print(f"{args.dir}: no incident bundles")
-        return 0
-    print(f"{'incident id':18s} {'t':>8s} {'kernel':8s} alert")
-    for path in paths:
-        document = load_incident(path)
-        alert = document.get("alert", {})
-        print(
-            f"{document.get('incident_id', '?'):18s} "
-            f"{document.get('t', 0.0):8.3f} "
-            f"{document.get('kernel', '?'):8s} "
-            f"{alert.get('name', '?')} [{alert.get('severity', '?')}]"
-        )
-    return 0
-
-
-def cmd_obs_incidents_show(args: argparse.Namespace) -> int:
-    """Dump one bundle (JSON, schema-complete)."""
-    import json
-
-    document = _resolve_incident(args)
-    print(json.dumps(document, indent=2, sort_keys=True))
-    return 0
-
-
-def cmd_obs_incidents_report(args: argparse.Namespace) -> int:
-    """Human-readable incident report with root-cause attribution."""
-    document = _resolve_incident(args)
-    alert = document.get("alert", {})
-    attribution = document.get("attribution", {})
-    counts = document.get("counts", {})
-    print(f"incident {document.get('incident_id', '?')}")
-    print(f"  kernel:    {document.get('kernel', '?')}")
-    print(f"  fired at:  t={document.get('t', 0.0):.3f}s (virtual)")
-    print(
-        f"  alert:     {alert.get('name', '?')} "
-        f"[{alert.get('detector', '?')}, {alert.get('severity', '?')}]"
-    )
-    print(f"  message:   {alert.get('message', '')}")
-    print(
-        "  window:    "
-        + ", ".join(f"{count} {kind}" for kind, count in sorted(counts.items()))
-    )
-    print("  attribution:")
-    print(f"    domain:  {attribution.get('domain', 'package')}")
-    if "span" in attribution:
-        print(f"    span:    {attribution['span']}")
-    point = attribution.get("operating_point")
-    if isinstance(point, dict):
-        state = point.get("state") or "?"
-        print(f"    state:   {state}")
-    if "energy_j" in attribution:
-        share = attribution.get("energy_share", 0.0)
-        print(
-            f"    energy:  {attribution['energy_j']:.2f} J in window "
-            f"({share:.0%} of window total)"
-        )
-    if "diff_top" in attribution:
-        print(f"    vs baseline: largest span regression {attribution['diff_top']}")
-    return 0
-
-
 def cmd_obs_top(args: argparse.Namespace) -> int:
     """Live ASCII dashboard over the metrics registry.
 
@@ -1339,18 +1041,10 @@ def cmd_obs_top(args: argparse.Namespace) -> int:
     from repro.obs import Observability
 
     scenario = get_scenario(args.scenario)
-    obs = Observability(alerting=args.alerts)
+    obs = Observability()
     if args.once:
         scenario.runner(obs)
-        print(
-            render_dashboard(
-                obs.metrics,
-                obs.tracer,
-                obs.audit,
-                width=args.width,
-                alerts=obs.alerts,
-            )
-        )
+        print(render_dashboard(obs.metrics, obs.tracer, obs.audit, width=args.width))
         return 0
     done = threading.Event()
 
@@ -1367,7 +1061,6 @@ def cmd_obs_top(args: argparse.Namespace) -> int:
             obs.audit,
             width=args.width,
             frame=number,
-            alerts=obs.alerts,
         )
 
     worker = threading.Thread(target=work, daemon=True)
@@ -1378,472 +1071,6 @@ def cmd_obs_top(args: argparse.Namespace) -> int:
         print()
     worker.join(timeout=5.0)
     return 0
-
-
-# ---------------------------------------------------------------------------
-# obs runs / lineage / query / trend: the telemetry warehouse
-# ---------------------------------------------------------------------------
-
-
-def _open_store(path):
-    from repro.obs.store import TelemetryStore
-
-    return TelemetryStore(path)
-
-
-def _slowdown_knob(slowdowns) -> List[str]:
-    """Canonical knob encoding of an injected-slowdown map."""
-    return [f"{name}:{factor}" for name, factor in sorted((slowdowns or {}).items())]
-
-
-def _warehouse_artifacts(obs):
-    """(ArtifactBlob list, derivation edges) for one recorded run.
-
-    Only formats `obs validate` can sniff become blobs: the Chrome
-    trace, the Prometheus dump, the audit JSONL (when non-empty — the
-    events validator rejects empty streams) and the folded stacks the
-    trend gate's stack attribution reads back.
-    """
-    import tempfile
-    from pathlib import Path
-
-    from repro.obs import FlameProfile
-    from repro.obs.export import (
-        write_audit_jsonl,
-        write_chrome_trace,
-        write_prometheus,
-    )
-    from repro.obs.store import ArtifactBlob
-
-    blobs = []
-    derivations = []
-    with tempfile.TemporaryDirectory() as tmp:
-        staging = Path(tmp)
-        write_chrome_trace(obs.tracer.spans, staging / "trace.json")
-        blobs.append(ArtifactBlob("trace.json", (staging / "trace.json").read_bytes()))
-        write_prometheus(obs.metrics, staging / "metrics.prom")
-        blobs.append(
-            ArtifactBlob("metrics.prom", (staging / "metrics.prom").read_bytes())
-        )
-        if obs.audit is not None:
-            write_audit_jsonl(obs.audit, staging / "audit.jsonl")
-            data = (staging / "audit.jsonl").read_bytes()
-            if data.strip():
-                blobs.append(ArtifactBlob("audit.jsonl", data))
-    folded = FlameProfile.from_spans(obs.tracer.spans).as_folded()
-    if folded.strip():
-        blobs.append(ArtifactBlob("profile.folded", folded.encode()))
-        derivations.append(("trace.json", "profile.folded", "collapsed"))
-    return blobs, derivations
-
-
-def _store_build_run(store, flow, app, result, obs, wall_s, label, slowdowns):
-    identity = flow.run_identity()
-    machine = str(identity.pop("machine"))
-    seed = int(identity.pop("seed"))
-    knobs = {**identity, "slowdowns": _slowdown_knob(slowdowns)}
-    metrics = {
-        "wall_s": wall_s,
-        "knowledge_points": len(result.exploration.knowledge),
-        "coverage": result.exploration.coverage,
-        "points_evaluated": flow.engine.counters.points_evaluated,
-    }
-    blobs, derivations = _warehouse_artifacts(obs)
-    return store.record(
-        "build",
-        app=app.name,
-        machine=machine,
-        seed=seed,
-        label=label,
-        source=app.source_fingerprint(),
-        knobs=knobs,
-        metrics=metrics,
-        artifacts=blobs,
-        derivations=derivations,
-    )
-
-
-def _record_build_run(args, store, slowdowns, label):
-    from repro.obs.store import recording_observability
-
-    obs = recording_observability(slowdowns or None)
-    flow = _toolflow(args, obs=obs)
-    app = _load_app(args.app)
-    with obs.tracer.span(f"build:{app.name}") as root:
-        result = flow.build(app)
-    obs.absorb_engine(flow.engine)
-    return _store_build_run(
-        store, flow, app, result, obs, root.duration_s, label, slowdowns
-    )
-
-
-def _record_dse_run(args, store, slowdowns, label):
-    from repro.dse.explorer import DesignSpaceExplorer
-    from repro.dse.pareto import pareto_front
-    from repro.engine.core import EvaluationEngine
-    from repro.obs.store import recording_observability
-
-    obs = recording_observability(slowdowns or None)
-    app = _load_app(args.app)
-    engine = EvaluationEngine(machine=getattr(args, "machine", None), obs=obs)
-    explorer = DesignSpaceExplorer(
-        engine.compiler,
-        engine.executor,
-        engine.omp,
-        repetitions=args.repetitions,
-        engine=engine,
-    )
-    seed = getattr(args, "seed", None)
-    if seed is None:
-        seed = 0xD5E
-    with obs.tracer.span(f"dse:{app.name}") as root:
-        profile = engine.profile(app)
-        space = _standard_space(engine.machine)
-        result = explorer.explore(profile, space, seed=seed)
-    front = pareto_front(result.knowledge, [("throughput", True), ("power", False)])
-    obs.absorb_engine(engine)
-    metrics = {
-        "wall_s": root.duration_s,
-        "points_evaluated": engine.counters.points_evaluated,
-        "front_size": len(front),
-        "space_size": result.space_size,
-    }
-    knobs = {
-        "repetitions": args.repetitions,
-        "slowdowns": _slowdown_knob(slowdowns),
-    }
-    blobs, derivations = _warehouse_artifacts(obs)
-    return store.record(
-        "dse",
-        app=app.name,
-        machine=engine.machine.name,
-        seed=seed,
-        label=label,
-        source=app.source_fingerprint(),
-        knobs=knobs,
-        metrics=metrics,
-        artifacts=blobs,
-        derivations=derivations,
-    )
-
-
-def _record_trace_run(args, store, slowdowns, label):
-    """Record the fig5-style adaptive scenario plus its energy ledger."""
-    import tempfile
-    from pathlib import Path
-
-    from repro.obs.energy import EnergyLedger, build_timeline
-    from repro.obs.store import ArtifactBlob, recording_observability
-
-    obs = recording_observability(slowdowns or None)
-    result, app, records, flow = _fig5_scenario(args, obs)
-    timeline = build_timeline(app, records)
-    timeline.record_metrics(obs.metrics)
-    ledger = EnergyLedger.from_timeline(
-        timeline,
-        stage_events=result.stage_events,
-        idle_power_w=app.executor.idle_breakdown().totals(),
-    )
-    blobs, derivations = _warehouse_artifacts(obs)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = ledger.write(Path(tmp) / "energy.json")
-        blobs.append(ArtifactBlob("energy.json", path.read_bytes()))
-    derivations.append(("trace.json", "energy.json", "derived"))
-    identity = flow.run_identity()
-    machine = str(identity.pop("machine"))
-    seed = int(identity.pop("seed"))
-    knobs = {
-        **identity,
-        "duration": args.duration,
-        "slowdowns": _slowdown_knob(slowdowns),
-    }
-    metrics = {
-        "wall_s": timeline.duration_s,
-        "invocations": len(records),
-        "package_j": ledger.totals_j().get("package", 0.0),
-    }
-    return store.record(
-        "trace",
-        app=args.app,
-        machine=machine,
-        seed=seed,
-        label=label,
-        source=_load_app(args.app).source_fingerprint(),
-        knobs=knobs,
-        metrics=metrics,
-        artifacts=blobs,
-        derivations=derivations,
-    )
-
-
-def _store_bench_result(store, result, label, slowdowns, machine=""):
-    """Record one virtual-clock ScenarioResult as a ``bench`` run.
-
-    The stored ``bench.json`` strips the two real-clock fields
-    (peak RSS, ratio gauges) so the same seeded scenario always
-    produces byte-identical blobs.
-    """
-    import dataclasses
-    import tempfile
-    from pathlib import Path
-
-    from repro.bench import BenchBaseline, median, save_baseline
-    from repro.obs import FlameProfile
-    from repro.obs.export import write_chrome_trace
-    from repro.obs.store import ArtifactBlob
-
-    baseline = dataclasses.replace(
-        BenchBaseline.from_result(result), peak_rss_kb=0, ratios={}
-    )
-    with tempfile.TemporaryDirectory() as tmp:
-        staging = Path(tmp)
-        save_baseline(baseline, staging / "bench.json")
-        bench_bytes = (staging / "bench.json").read_bytes()
-        write_chrome_trace(result.spans, staging / "trace.json")
-        trace_bytes = (staging / "trace.json").read_bytes()
-    folded = FlameProfile.from_spans(result.spans).as_folded()
-    blobs = [
-        ArtifactBlob("bench.json", bench_bytes),
-        ArtifactBlob("trace.json", trace_bytes),
-        ArtifactBlob("profile.folded", folded.encode()),
-    ]
-    derivations = [("trace.json", "profile.folded", "collapsed")]
-    metrics = {"wall_s": median(result.wall_s)}
-    for key, value in sorted(result.fingerprint.items()):
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            metrics[key] = value
-    knobs = {"repeats": result.repeats, "slowdowns": _slowdown_knob(slowdowns)}
-    return store.record(
-        "bench",
-        machine=machine,
-        scenario=result.scenario,
-        label=label,
-        knobs=knobs,
-        metrics=metrics,
-        artifacts=blobs,
-        derivations=derivations,
-    )
-
-
-def _record_bench_run(args, store, slowdowns, label):
-    from repro.bench import run_scenario
-    from repro.obs.store import recording_observability
-
-    result = run_scenario(
-        args.target,
-        repeats=args.repeats,
-        obs_factory=lambda: recording_observability(slowdowns or None),
-    )
-    return _store_bench_result(
-        store, result, label, slowdowns, machine=getattr(args, "machine", None) or ""
-    )
-
-
-_WAREHOUSE_RECORDERS = {
-    "build": _record_build_run,
-    "dse": _record_dse_run,
-    "trace": _record_trace_run,
-    "bench": _record_bench_run,
-}
-
-
-def cmd_obs_runs_record(args: argparse.Namespace) -> int:
-    """Run one pipeline invocation under the virtual clock and record it.
-
-    The run executes with a deterministic virtual tracer clock, so the
-    run id, every metric and every artifact blob are pure functions of
-    (source, machine, seed, knobs) — recording the same invocation
-    twice is a no-op.  ``--inject-slowdown SPAN:FACTOR`` stretches the
-    named span (CI uses this to prove the trend gate catches drift).
-    """
-    import contextlib
-    import json
-
-    from repro.obs.store import parse_slowdowns
-
-    store = _open_store(args.store)
-    slowdowns = parse_slowdowns(args.inject_slowdown)
-    # build/dse/trace address an app; bench addresses a scenario
-    args.app = args.target
-    recorder = _WAREHOUSE_RECORDERS[args.kind]
-    if args.json:
-        # workload prose (e.g. the fig5 scenario banner) must not
-        # corrupt the one-line JSON document on stdout
-        with contextlib.redirect_stdout(sys.stderr):
-            run_id, created = recorder(args, store, slowdowns, args.label)
-    else:
-        run_id, created = recorder(args, store, slowdowns, args.label)
-    if args.json:
-        document = {"run_id": run_id, "created": created, "kind": args.kind}
-        print(json.dumps(document, sort_keys=True, separators=(",", ":")))
-    elif created:
-        print(f"recorded {args.kind} run {run_id} in {store.root}")
-    else:
-        print(f"{args.kind} run {run_id} already recorded in {store.root}")
-    return 0
-
-
-def _run_summary(record, pinned) -> dict:
-    return {
-        "run_id": record.get("run_id", ""),
-        "kind": record.get("kind", ""),
-        "app": record.get("app", ""),
-        "scenario": record.get("scenario", ""),
-        "machine": record.get("machine", ""),
-        "seed": record.get("seed", 0),
-        "label": record.get("label", ""),
-        "artifacts": len(record.get("artifacts", ())),
-        "pinned": record.get("run_id", "") in pinned,
-    }
-
-
-def cmd_obs_runs_list(args: argparse.Namespace) -> int:
-    import json
-
-    store = _open_store(args.store)
-    pinned = store.pinned()
-    summaries = [_run_summary(record, pinned) for record in store.runs()]
-    if args.json:
-        print(json.dumps(summaries, sort_keys=True, separators=(",", ":")))
-        return 0
-    print(
-        f"{'run_id':16s} {'kind':6s} {'target':14s} {'machine':14s} "
-        f"{'seed':>8s} {'arts':>4s} label"
-    )
-    for row in summaries:
-        target = row["app"] or row["scenario"]
-        pin_mark = "*" if row["pinned"] else ""
-        print(
-            f"{row['run_id']:16s} {row['kind']:6s} {target:14s} "
-            f"{row['machine']:14s} {row['seed']:>8d} {row['artifacts']:>4d} "
-            f"{row['label']}{pin_mark}"
-        )
-    print(f"{len(summaries)} run(s), {len(pinned)} pinned")
-    return 0
-
-
-def cmd_obs_runs_show(args: argparse.Namespace) -> int:
-    import json
-
-    store = _open_store(args.store)
-    record = store.load_run(store.resolve_run(args.run_id))
-    print(json.dumps(record, indent=2, sort_keys=True))
-    return 0
-
-
-def cmd_obs_runs_pin(args: argparse.Namespace) -> int:
-    store = _open_store(args.store)
-    run_id = store.resolve_run(args.run_id)
-    if args.unpin:
-        store.unpin(run_id)
-        print(f"unpinned {run_id}")
-    else:
-        store.pin(run_id)
-        print(f"pinned {run_id}")
-    return 0
-
-
-def cmd_obs_runs_gc(args: argparse.Namespace) -> int:
-    import json
-
-    store = _open_store(args.store)
-    summary = store.gc(keep=args.keep, dry_run=args.dry_run)
-    if args.json:
-        print(json.dumps(summary, sort_keys=True, separators=(",", ":")))
-        return 0
-    verb = "would remove" if summary["dry_run"] else "removed"
-    kept_blobs = summary["kept_blobs"]
-    blobs_note = "" if kept_blobs is None else f" / {kept_blobs} blob(s)"
-    print(
-        f"gc: {verb} {len(summary['removed_runs'])} run(s) and "
-        f"{summary['removed_blobs']} blob(s); kept {summary['kept_runs']} "
-        f"run(s){blobs_note}, {len(summary['pinned'])} pinned"
-    )
-    if summary.get("verified"):
-        print("gc: store verified (every kept artifact present and hash-clean)")
-    return 0
-
-
-def cmd_obs_lineage(args: argparse.Namespace) -> int:
-    """Walk the provenance DAG around a run, artifact or source node."""
-    import json
-
-    from repro.obs.provenance import ProvenanceGraph
-
-    store = _open_store(args.store)
-    graph = ProvenanceGraph.from_runs(store.runs())
-    node = graph.resolve(args.ref)
-    if args.json:
-        print(json.dumps(graph.lineage_dict(node), sort_keys=True, separators=(",", ":")))
-    else:
-        print(graph.ascii_tree(node))
-    return 0
-
-
-def cmd_obs_query(args: argparse.Namespace) -> int:
-    """Filter/aggregate recorded runs with the small expression grammar."""
-    import json
-
-    from repro.obs.store import aggregate_runs, filter_runs, parse_query
-
-    store = _open_store(args.store)
-    clauses = parse_query(args.where or "")
-    selected = filter_runs(store.runs(), clauses)
-    if args.agg:
-        document = aggregate_runs(selected, args.agg)
-        if args.json:
-            print(json.dumps(document, sort_keys=True, separators=(",", ":")))
-        else:
-            print(f"{document['agg']}: {document['value']}")
-        return 0
-    pinned = store.pinned()
-    summaries = [_run_summary(record, pinned) for record in selected]
-    if args.json:
-        print(json.dumps(summaries, sort_keys=True, separators=(",", ":")))
-        return 0
-    for row in summaries:
-        target = row["app"] or row["scenario"]
-        print(
-            f"{row['run_id']} {row['kind']} {target} {row['machine']} "
-            f"seed={row['seed']} {row['label']}".rstrip()
-        )
-    print(f"{len(summaries)} run(s) matched")
-    return 0
-
-
-def cmd_obs_trend(args: argparse.Namespace) -> int:
-    """History-aware drift gate over the warehouse (exit 3 on drift)."""
-    import json
-
-    import repro.obs.trend as trend_mod
-
-    store = _open_store(args.store)
-    records = store.runs()
-    matching = [
-        record
-        for record in records
-        if record.get("scenario") == args.target or record.get("app") == args.target
-    ]
-    if matching:
-        scoped, metric = matching, args.metric
-    else:
-        # no scenario/app by that name: treat the target as a metric
-        # judged across every recorded run
-        scoped, metric = records, args.target
-    verdict = trend_mod.trend_over_runs(
-        store,
-        scoped,
-        args.target,
-        metric=metric,
-        window=args.window,
-        threshold=args.threshold,
-        mad_k=args.mad_k,
-    )
-    if args.json:
-        print(json.dumps(verdict.as_dict(), sort_keys=True, separators=(",", ":")))
-    else:
-        print(verdict.format())
-    return 3 if verdict.drift else 0
 
 
 # ---------------------------------------------------------------------------
@@ -2060,27 +1287,10 @@ def cmd_bench_run(args: argparse.Namespace) -> int:
         save_baseline,
     )
 
-    store_dir = getattr(args, "store", None)
-    obs_factory = None
-    if store_dir:
-        # warehouse mode: run under the virtual tracer clock so the
-        # recorded wall times and artifact hashes are deterministic
-        from repro.obs.store import recording_observability
-
-        obs_factory = recording_observability
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name in _bench_scenario_names(args):
-        result = run_scenario(name, repeats=args.repeats, obs_factory=obs_factory)
-        if store_dir:
-            run_id, created = _store_bench_result(
-                _open_store(store_dir),
-                result,
-                getattr(args, "store_label", "") or "",
-                {},
-            )
-            verb = "recorded" if created else "already recorded"
-            print(f"{verb} bench run {run_id} in {store_dir}", file=sys.stderr)
+        result = run_scenario(name, repeats=args.repeats)
         # ratio caps are hand-committed policy, never measured: when
         # regenerating over an existing baseline, carry its caps through
         ratio_limits = None
@@ -2200,38 +1410,6 @@ def cmd_bench_gate(args: argparse.Namespace) -> int:
         print(report.format(diff_limit=args.limit))
         if not report.ok:
             failed.append(report.scenario)
-    if getattr(args, "history_store", None):
-        # history-aware mode: additionally judge each scenario's newest
-        # *recorded* run against the sliding window before it in the
-        # telemetry warehouse (virtual-clock runs compare only against
-        # virtual-clock runs, never against this process's fresh
-        # real-clock measurements)
-        import repro.obs.trend as trend_mod
-
-        store = _open_store(args.history_store)
-        records = store.runs()
-        for name in _bench_scenario_names(args):
-            scoped = [
-                record
-                for record in records
-                if record.get("kind") == "bench" and record.get("scenario") == name
-            ]
-            print()
-            try:
-                verdict = trend_mod.trend_over_runs(
-                    store,
-                    scoped,
-                    name,
-                    window=args.history_window,
-                    threshold=args.threshold,
-                    mad_k=args.mad_k,
-                )
-            except ValueError as error:
-                print(f"history {name}: skipped ({error})")
-                continue
-            print(verdict.format())
-            if verdict.drift:
-                failed.append(f"{name} (history)")
     print()
     if failed:
         print(f"bench gate: FAIL ({', '.join(failed)} regressed)")
@@ -2358,14 +1536,6 @@ def cmd_fig5(args: argparse.Namespace) -> int:
     )
     from repro.viz.ascii import timeseries
 
-    flow = _toolflow(args)
-    result = flow.build(_load_app(args.app))
-    app = result.adaptive
-    app.add_state(
-        OptimizationState("Thr/W^2", rank=maximize_throughput_per_watt_squared()),
-        activate=True,
-    )
-    app.add_state(OptimizationState("Throughput", rank=maximize_throughput()))
     third = args.duration / 3.0
     scenario = Scenario(
         phases=[
@@ -2375,6 +1545,14 @@ def cmd_fig5(args: argparse.Namespace) -> int:
         ],
         duration_s=args.duration,
     )
+    flow = _toolflow(args)
+    result = flow.build(_load_app(args.app))
+    app = result.adaptive
+    app.add_state(
+        OptimizationState("Thr/W^2", rank=maximize_throughput_per_watt_squared()),
+        activate=True,
+    )
+    app.add_state(OptimizationState("Throughput", rank=maximize_throughput()))
     records = scenario.run(app)
     times = [r.timestamp for r in records]
     print(timeseries(times, [r.power_w for r in records], title="Power [W]"))
@@ -2439,7 +1617,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="emit one machine-readable JSON document instead of prose",
     )
-    _add_store_arguments(p)
     p.set_defaults(func=cmd_build)
 
     p = subparsers.add_parser(
@@ -2476,7 +1653,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--audit-out",
         help="write the adaptation audit log as JSONL",
     )
-    _add_store_arguments(p)
     p.set_defaults(func=cmd_trace)
 
     p = subparsers.add_parser("profiles", help="workload profiles of all benchmarks")
@@ -2585,13 +1761,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--metrics-out",
         help="write engine counters as Prometheus text",
     )
-    _add_store_arguments(p)
     p.set_defaults(func=cmd_dse)
 
     p = subparsers.add_parser(
         "obs",
-        help="observability: export/validate artifacts, telemetry warehouse "
-        "(runs/lineage/query/trend), flame graphs, dashboard",
+        help="observability: export/validate artifacts, trace diffs, "
+        "flame graphs, what-if analysis, dashboard",
     )
     obs_sub = p.add_subparsers(dest="obs_command", required=True)
     p = obs_sub.add_parser(
@@ -2611,7 +1786,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_obs_export)
     p = obs_sub.add_parser(
         "validate",
-        help="validate exported artifacts or whole directories/stores "
+        help="validate exported artifacts or whole directories "
         "(.json traces/ledgers/records, .jsonl events, .prom metrics, .folded stacks)",
     )
     p.add_argument(
@@ -2620,168 +1795,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="artifact files, or directories to walk recursively",
     )
     p.set_defaults(func=cmd_obs_validate)
-
-    p = obs_sub.add_parser(
-        "runs",
-        help="telemetry warehouse: record, list, inspect, pin and GC run records",
-    )
-    runs_sub = p.add_subparsers(dest="runs_command", required=True)
-    p = runs_sub.add_parser(
-        "record",
-        help="run one pipeline invocation under the virtual clock and record it",
-    )
-    p.add_argument(
-        "kind",
-        choices=("build", "dse", "trace", "bench"),
-        help="which pipeline invocation to run and record",
-    )
-    p.add_argument(
-        "target", help="app name (build/dse/trace) or bench scenario name"
-    )
-    p.add_argument(
-        "--store", required=True, metavar="DIR", help="warehouse directory"
-    )
-    p.add_argument(
-        "--label",
-        default="",
-        help="label mixed into the run identity (distinguishes otherwise "
-        "identical runs, e.g. history points r1..r5)",
-    )
-    p.add_argument(
-        "--seed",
-        type=lambda s: int(s, 0),
-        default=None,
-        help="toolflow/DSE seed override (default: each stage's own seed)",
-    )
-    _add_machine_argument(p)
-    p.add_argument("--threads", help="comma-separated thread counts for the DSE")
-    p.add_argument("--repetitions", type=int, default=3)
-    p.add_argument(
-        "--repeats", type=int, default=1, help="bench scenario repeats"
-    )
-    p.add_argument(
-        "--duration",
-        type=float,
-        default=10.0,
-        help="virtual seconds of the fig5-style scenario (trace kind)",
-    )
-    p.add_argument(
-        "--inject-slowdown",
-        action="append",
-        metavar="SPAN:FACTOR",
-        help="stretch the named span by FACTOR >= 1.0 under the virtual "
-        "clock (repeatable; CI uses this to prove the trend gate trips)",
-    )
-    p.add_argument(
-        "--json", action="store_true", help="emit one {run_id, created, kind} line"
-    )
-    p.set_defaults(func=cmd_obs_runs_record)
-    p = runs_sub.add_parser("list", help="list recorded runs in journal order")
-    p.add_argument("--store", required=True, metavar="DIR")
-    p.add_argument("--json", action="store_true", help="emit one JSON line")
-    p.set_defaults(func=cmd_obs_runs_list)
-    p = runs_sub.add_parser("show", help="dump one run record as JSON")
-    p.add_argument("run_id", help="run id (unambiguous prefix ok)")
-    p.add_argument("--store", required=True, metavar="DIR")
-    p.set_defaults(func=cmd_obs_runs_show)
-    p = runs_sub.add_parser(
-        "pin", help="protect a run (and everything it reaches) from gc"
-    )
-    p.add_argument("run_id", help="run id (unambiguous prefix ok)")
-    p.add_argument("--store", required=True, metavar="DIR")
-    p.set_defaults(func=cmd_obs_runs_pin, unpin=False)
-    p = runs_sub.add_parser("unpin", help="drop a run's gc protection")
-    p.add_argument("run_id", help="run id (unambiguous prefix ok)")
-    p.add_argument("--store", required=True, metavar="DIR")
-    p.set_defaults(func=cmd_obs_runs_pin, unpin=True)
-    p = runs_sub.add_parser(
-        "gc",
-        help="retention sweep: drop old unpinned runs and orphan blobs, "
-        "then verify the store",
-    )
-    p.add_argument("--store", required=True, metavar="DIR")
-    p.add_argument(
-        "--keep",
-        type=int,
-        help="keep only the N most recent unpinned runs (pinned always kept)",
-    )
-    p.add_argument(
-        "--dry-run", action="store_true", help="report without deleting"
-    )
-    p.add_argument("--json", action="store_true", help="emit one JSON line")
-    p.set_defaults(func=cmd_obs_runs_gc)
-
-    p = obs_sub.add_parser(
-        "lineage",
-        help="walk the provenance DAG around a run/artifact/source node",
-    )
-    p.add_argument(
-        "ref",
-        help="node reference: run:<id>, artifact:<sha>, source:<sha>, "
-        "or a bare unambiguous hash prefix",
-    )
-    p.add_argument("--store", required=True, metavar="DIR")
-    p.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the canonical one-line lineage document",
-    )
-    p.set_defaults(func=cmd_obs_lineage)
-
-    p = obs_sub.add_parser(
-        "query",
-        help="filter/aggregate recorded runs with a small expression grammar",
-    )
-    p.add_argument(
-        "where",
-        nargs="?",
-        default="",
-        help="filter expression, ' and '-joined clauses like "
-        "\"kind=bench and machine=xeon_2s and wall_s<2.5\" (empty: all runs)",
-    )
-    p.add_argument("--store", required=True, metavar="DIR")
-    p.add_argument(
-        "--agg",
-        metavar="SPEC",
-        help="aggregate instead of listing: count, or median:|mean:|min:|"
-        "max:|sum:<metric>",
-    )
-    p.add_argument("--json", action="store_true", help="emit one JSON line")
-    p.set_defaults(func=cmd_obs_query)
-
-    p = obs_sub.add_parser(
-        "trend",
-        help="median+MAD drift gate over recorded history (exit 3 on drift)",
-    )
-    p.add_argument(
-        "target",
-        help="scenario or app name (judged on --metric), or a bare metric "
-        "name judged across all recorded runs",
-    )
-    p.add_argument("--store", required=True, metavar="DIR")
-    p.add_argument(
-        "--metric", default="wall_s", help="metric to judge (default: wall_s)"
-    )
-    p.add_argument(
-        "--window",
-        type=int,
-        default=5,
-        help="sliding window of historical runs the latest is judged against",
-    )
-    p.add_argument(
-        "--threshold",
-        type=float,
-        default=0.10,
-        help="relative drift threshold (fraction of the history median)",
-    )
-    p.add_argument(
-        "--mad-k",
-        type=float,
-        default=6.0,
-        help="MAD multiplier absorbing the history's own jitter",
-    )
-    p.add_argument("--json", action="store_true", help="emit one JSON line")
-    p.set_defaults(func=cmd_obs_trend)
     p = obs_sub.add_parser(
         "diff", help="span-level diff of two Chrome trace exports"
     )
@@ -2916,79 +1929,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--refresh", type=float, default=1.0, help="seconds between redraws"
     )
     p.add_argument("--width", type=int, default=72)
-    p.add_argument(
-        "--alerts",
-        action="store_true",
-        help="run the scenario with streaming SLO alerting and show the alerts panel",
-    )
     p.set_defaults(func=cmd_obs_top)
-
-    p = obs_sub.add_parser(
-        "incidents",
-        help="flight-recorder incident pipeline: record, list, inspect bundles",
-    )
-    incidents_sub = p.add_subparsers(dest="incidents_command", required=True)
-    p = incidents_sub.add_parser(
-        "record",
-        help="inject a power-cap violation and write INC_*.json bundles",
-    )
-    p.add_argument(
-        "app",
-        nargs="?",
-        default="mvt",
-        help="benchmark name (default: mvt; see `socrates list`)",
-    )
-    _add_machine_argument(p)
-    p.set_defaults(machine="biglittle_8p8e")
-    p.add_argument(
-        "--duration",
-        type=float,
-        default=3.0,
-        help="virtual seconds of the 3-phase scenario",
-    )
-    p.add_argument(
-        "--power-budget",
-        type=float,
-        default=40.0,
-        help="package power budget in W the Throughput phases violate",
-    )
-    p.add_argument(
-        "--power-cap",
-        type=float,
-        default=22.0,
-        help="power constraint in W of the compliant PowerCap state",
-    )
-    p.add_argument(
-        "--baseline",
-        metavar="BENCH.json",
-        help="bench baseline for span-diff attribution inside the bundles",
-    )
-    p.add_argument("--threads", help="comma-separated thread counts for the DSE")
-    p.add_argument("--repetitions", type=int, default=2)
-    p.add_argument("--out-dir", default="incidents", help="bundle output directory")
-    p.set_defaults(func=cmd_obs_incidents_record)
-    p = incidents_sub.add_parser("list", help="list recorded incident bundles")
-    p.add_argument("--dir", default="incidents", help="bundle directory")
-    p.set_defaults(func=cmd_obs_incidents_list)
-    p = incidents_sub.add_parser("show", help="dump one bundle as JSON")
-    p.add_argument("incident_id", help="incident id (unambiguous prefix ok)")
-    p.add_argument("--dir", default="incidents", help="bundle directory")
-    p.set_defaults(func=cmd_obs_incidents_show)
-    p = incidents_sub.add_parser(
-        "report", help="human-readable report with root-cause attribution"
-    )
-    p.add_argument(
-        "incident_id",
-        nargs="?",
-        help="incident id prefix (omit for --latest behavior)",
-    )
-    p.add_argument(
-        "--latest",
-        action="store_true",
-        help="report the most recent incident (default when no id given)",
-    )
-    p.add_argument("--dir", default="incidents", help="bundle directory")
-    p.set_defaults(func=cmd_obs_incidents_report)
 
     p = subparsers.add_parser(
         "energy",
@@ -3150,7 +2091,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace-out-dir",
         help="also write each scenario's Chrome trace as TRACE_<scenario>.json",
     )
-    _add_store_arguments(p)
     p.set_defaults(func=cmd_bench_run)
     p = bench_sub.add_parser(
         "compare",
@@ -3169,18 +2109,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--out-dir",
         help="write fresh BENCH/GATE/DIFF artifacts here (CI uploads)",
-    )
-    p.add_argument(
-        "--history-store",
-        metavar="DIR",
-        help="history-aware mode: additionally judge each scenario's newest "
-        "recorded run in this telemetry warehouse against the window before it",
-    )
-    p.add_argument(
-        "--history-window",
-        type=int,
-        default=5,
-        help="sliding window of recorded runs for --history-store",
     )
     p.set_defaults(func=cmd_bench_gate)
 

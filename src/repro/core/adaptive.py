@@ -220,12 +220,6 @@ class AdaptiveApplication:
             cluster=version.cluster or "",
         )
         self._trace.append(record)
-        # Streaming alerting hook: one attribute lookup when disabled,
-        # so seeded runs stay byte-identical with alerting on or off
-        # (the engine never touches any random stream).
-        alerts = self._obs.alerts
-        if alerts is not None:
-            alerts.observe_invocation(self.name, record, self)
         return record
 
     def run_for(self, duration_s: float, max_invocations: int = 1_000_000) -> List[InvocationRecord]:

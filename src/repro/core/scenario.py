@@ -35,6 +35,8 @@ class Scenario:
     duration_s: float
 
     def __post_init__(self) -> None:
+        if not self.duration_s > 0:
+            raise ValueError(f"duration_s must be positive, got {self.duration_s!r}")
         if not self.phases:
             raise ValueError("a scenario needs at least one phase")
         starts = [phase.start_s for phase in self.phases]

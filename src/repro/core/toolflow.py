@@ -193,12 +193,8 @@ class SocratesToolflow:
         return self._seed
 
     def run_identity(self) -> Dict[str, object]:
-        """The toolflow's contribution to a warehouse run identity.
-
-        Everything here is a knob that changes what the pipeline
-        computes — never a timestamp or a path — so it can be hashed
-        into a deterministic run id (see :mod:`repro.obs.store`).
-        """
+        """The knobs that change what the pipeline computes — never a
+        timestamp or a path."""
         return {
             "machine": self._machine.name,
             "seed": self._seed,

@@ -98,10 +98,10 @@ class TelemetryRecorder:
     @contextmanager
     def stage(self, name: str) -> Iterator[None]:
         before = self._engine.counters
-        # Time stages on the tracer's clock so a virtual clock (the
-        # telemetry warehouse's determinism device) governs stage wall
-        # times and the duration histogram too, not just spans.  The
-        # no-op tracer carries no clock; fall back to the real one.
+        # Time stages on the tracer's clock so a substituted clock
+        # governs stage wall times and the duration histogram too, not
+        # just spans.  The no-op tracer carries no clock; fall back to
+        # the real one.
         clock = getattr(self._tracer, "_clock", time.perf_counter)
         start = clock()
         ok = True

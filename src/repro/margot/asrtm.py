@@ -62,7 +62,6 @@ class ApplicationRuntimeManager:
         self._observations: Dict[str, Monitor] = {}
         self._current: Optional[OperatingPoint] = None
         self._audit = audit
-        self._alerts = None
         self._knob_filters: Dict[str, object] = {}
 
     # -- state management -----------------------------------------------------
@@ -182,22 +181,8 @@ class ApplicationRuntimeManager:
             # point must not be attributed to the new one
             for monitor in self._observations.values():
                 monitor.clear()
-        entry = None
         if auditing and switched:
-            entry = self._record_audit(
-                state, best, ranked, constraint_traces or [], now=now
-            )
-        if switched and self._alerts is not None:
-            # Cross-link the deliberate switch into the alerting
-            # stream: incident windows show surrounding adaptations,
-            # and the CUSUM reference re-warms so an *intended* power
-            # change is not reported as a change-point anomaly.
-            self._alerts.observe_adaptation(
-                now=now if now is not None else 0.0,
-                state=state.name,
-                winner=dict(best.knobs),
-                entry=entry,
-            )
+            self._record_audit(state, best, ranked, constraint_traces or [], now=now)
         self._current = best
         return best
 
@@ -212,10 +197,6 @@ class ApplicationRuntimeManager:
     def attach_audit(self, audit: Optional[AdaptationAuditLog]) -> None:
         """Enable (or disable, with ``None``) adaptation auditing."""
         self._audit = audit
-
-    def attach_alerts(self, alerts) -> None:
-        """Notify an :class:`~repro.obs.alerts.AlertEngine` of switches."""
-        self._alerts = alerts
 
     def _record_audit(
         self,

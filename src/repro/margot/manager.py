@@ -51,8 +51,6 @@ class MargotManager:
         self.kernel_name = kernel_name
         self._obs = obs if obs is not None else NULL_OBS
         self._asrtm = ApplicationRuntimeManager(knowledge, audit=self._obs.audit)
-        if getattr(self._obs, "alerts", None) is not None:
-            self._asrtm.attach_alerts(self._obs.alerts)
         self._time_monitor = TimeMonitor()
         self._throughput_monitor = ThroughputMonitor()
         self._power_monitor = PowerMonitor()

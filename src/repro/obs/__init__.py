@@ -31,21 +31,14 @@ runtime traces, books joules onto operating points in an
 :class:`~repro.obs.energy.EnergyLedger`, and watches declared
 power/energy budgets (``socrates energy report|timeline|slo``).
 
-The *streaming* layer (:mod:`repro.obs.stream`,
-:mod:`repro.obs.alerts`, :mod:`repro.obs.flight`) turns the same
-telemetry into online verdicts: construct with ``alerting=True`` and
-:attr:`Observability.alerts` carries an
-:class:`~repro.obs.alerts.AlertEngine` whose detectors watch span
-closures, metric updates and energy samples on a virtual-time bus,
-snapshotting a bounded flight recorder into deterministic incident
-bundles when an SLO burns (``socrates obs incidents``).  With alerting
-off, ``alerts`` is ``None`` and every hook is one attribute lookup.
+:mod:`repro.obs.profile` reconstructs virtual-time flame graphs from
+the same span traces and joins them with the energy ledger
+(``socrates obs flame|whatif``).
 """
 
 from __future__ import annotations
 
-import time
-from typing import Callable, Mapping, Optional
+from typing import Mapping, Optional
 
 from repro.obs.audit import (
     AdaptationAuditLog,
@@ -79,9 +72,6 @@ from repro.obs.metrics import (
     NULL_METRICS,
     NullMetricsRegistry,
 )
-from repro.obs.alerts import Alert, AlertEngine, AlertPolicy, latency_slos_from_baselines
-from repro.obs.audit import IncidentTrace
-from repro.obs.flight import INCIDENT_SCHEMA, FlightRecorder, IncidentBundle
 from repro.obs.profile import (
     FlameProfile,
     ProfileNode,
@@ -97,31 +87,11 @@ from repro.obs.profile import (
     total_virtual_s,
     whatif,
 )
-from repro.obs.provenance import ProvenanceEdge, ProvenanceGraph
-from repro.obs.store import (
-    RUN_SCHEMA,
-    ArtifactBlob,
-    SlowdownTracer,
-    TelemetryStore,
-    VirtualClock,
-    canonical_json,
-    parse_slowdowns,
-    recording_observability,
-    run_id_for,
-)
-from repro.obs.stream import NULL_BUS, NullTelemetryBus, StreamEvent, TelemetryBus
 from repro.obs.tracing import MAIN_TRACK, NULL_TRACER, NullTracer, Span, Tracer
-
-# NOTE: repro.obs.trend is intentionally not imported here — it pulls
-# in repro.bench, whose scenarios import repro.obs, and a top-level
-# import would make that cycle real.  Import it as repro.obs.trend.
 
 __all__ = [
     "AdaptationAuditLog",
     "AdaptationEntry",
-    "Alert",
-    "AlertEngine",
-    "AlertPolicy",
     "BudgetVerdict",
     "CandidateTrace",
     "CheckTrace",
@@ -131,10 +101,6 @@ __all__ = [
     "EnergyLedger",
     "EnergySample",
     "EnergyTimeline",
-    "FlightRecorder",
-    "INCIDENT_SCHEMA",
-    "IncidentBundle",
-    "IncidentTrace",
     "LedgerConservationError",
     "DEFAULT_SIZE_BUCKETS",
     "DEFAULT_TIME_BUCKETS",
@@ -142,28 +108,16 @@ __all__ = [
     "Histogram",
     "MAIN_TRACK",
     "MetricsRegistry",
-    "NULL_BUS",
     "NULL_METRICS",
     "NULL_OBS",
     "NULL_TRACER",
     "NullMetricsRegistry",
-    "NullTelemetryBus",
     "NullTracer",
     "Observability",
-    "ProvenanceEdge",
-    "ProvenanceGraph",
-    "RUN_SCHEMA",
-    "ArtifactBlob",
     "SloTrace",
-    "SlowdownTracer",
     "Span",
-    "StreamEvent",
-    "TelemetryBus",
-    "TelemetryStore",
     "Tracer",
-    "VirtualClock",
     "attribute_record",
-    "canonical_json",
     "FlameProfile",
     "ProfileNode",
     "PruneTrace",
@@ -176,14 +130,10 @@ __all__ = [
     "compose_reason",
     "describe_rank",
     "diff_flame",
-    "latency_slos_from_baselines",
     "load_chrome_trace",
-    "parse_slowdowns",
     "profile_vs_baseline",
-    "recording_observability",
     "render_svg",
     "rescale_tree",
-    "run_id_for",
     "total_virtual_s",
     "whatif",
 ]
@@ -192,27 +142,14 @@ __all__ = [
 class Observability:
     """Tracer + metrics registry + adaptation audit log, as one handle."""
 
-    def __init__(
-        self,
-        enabled: bool = True,
-        max_audit_candidates: int = 5,
-        clock: Callable[[], float] = time.perf_counter,
-        alerting: bool = False,
-        alert_policy: Optional[AlertPolicy] = None,
-    ) -> None:
+    def __init__(self, enabled: bool = True, max_audit_candidates: int = 5) -> None:
         self.enabled = enabled
-        self.alerts: Optional[AlertEngine] = None
         if enabled:
-            self.tracer: Tracer = Tracer(clock=clock)
+            self.tracer: Tracer = Tracer()
             self.metrics: MetricsRegistry = MetricsRegistry()
             self.audit: Optional[AdaptationAuditLog] = AdaptationAuditLog(
                 max_candidates=max_audit_candidates
             )
-            if alerting:
-                self.alerts = AlertEngine(
-                    policy=alert_policy, metrics=self.metrics, audit=self.audit
-                )
-                self.tracer.sink = self.alerts
         else:
             self.tracer = NULL_TRACER
             self.metrics = NULL_METRICS
@@ -223,8 +160,6 @@ class Observability:
     def absorb_engine(self, engine) -> None:
         """Mirror an engine's cache/evaluation counters into the registry."""
         self.metrics.absorb_engine_counters(engine.counters)
-        if self.alerts is not None:
-            self.alerts.observe_engine(engine.counters)
 
     def absorb_monitors(self, monitors: Mapping[str, object]) -> None:
         """Mirror mARGOt monitor statistics into the registry."""

@@ -112,42 +112,6 @@ class SloTrace:
 
 
 @dataclass(frozen=True)
-class IncidentTrace:
-    """One fired alert's incident, cross-linked into the audit log.
-
-    Like :class:`CheckTrace`/:class:`SloTrace`, kept separate from the
-    adaptation entries so the adaptation JSONL schema and its
-    validators are unaffected.  ``adaptation_sequence`` is the
-    sequence number the *next* adaptation entry will get when the
-    incident fired, so "which MAPE-K switches happened around this
-    incident?" is answered by comparing sequence numbers: entries with
-    ``sequence < adaptation_sequence`` preceded the incident, later
-    ones reacted to (or followed) it.
-    """
-
-    incident_id: str
-    alert: str
-    detector: str
-    severity: str
-    t: float
-    kernel: str
-    message: str
-    adaptation_sequence: int
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "incident_id": self.incident_id,
-            "alert": self.alert,
-            "detector": self.detector,
-            "severity": self.severity,
-            "t": self.t,
-            "kernel": self.kernel,
-            "message": self.message,
-            "adaptation_sequence": self.adaptation_sequence,
-        }
-
-
-@dataclass(frozen=True)
 class PruneTrace:
     """One lattice point skipped by a static :class:`PrunePlan`.
 
@@ -275,7 +239,6 @@ class AdaptationAuditLog:
         self._entries: List[AdaptationEntry] = []
         self._checks: List[CheckTrace] = []
         self._slos: List[SloTrace] = []
-        self._incidents: List[IncidentTrace] = []
         self._prunes: List[PruneTrace] = []
 
     @property
@@ -344,27 +307,3 @@ class AdaptationAuditLog:
 
     def slos_as_dicts(self) -> List[Dict[str, object]]:
         return [trace.as_dict() for trace in self._slos]
-
-    # -- incident traces --------------------------------------------------------
-
-    @property
-    def incidents(self) -> List[IncidentTrace]:
-        return list(self._incidents)
-
-    def record_incident(self, trace: IncidentTrace) -> IncidentTrace:
-        self._incidents.append(trace)
-        return trace
-
-    def incidents_as_dicts(self) -> List[Dict[str, object]]:
-        return [trace.as_dict() for trace in self._incidents]
-
-    def incidents_around(self, sequence: int) -> List[IncidentTrace]:
-        """Incidents whose cross-link points at adaptation ``sequence``.
-
-        The inverse direction of the cross-link: given an adaptation
-        entry, which incidents fired between it and the previous
-        switch?
-        """
-        return [
-            trace for trace in self._incidents if trace.adaptation_sequence == sequence
-        ]

@@ -90,45 +90,6 @@ def _energy_section(metrics: MetricsRegistry, width: int) -> List[str]:
     return lines
 
 
-def _alerts_section(
-    metrics: MetricsRegistry, alerts=None
-) -> List[str]:
-    """The alerting panel: fired-alert counters by name/severity plus,
-    when a live :class:`~repro.obs.alerts.AlertEngine` is at hand, the
-    most recent alert line.  Works off the ``socrates_alerts_total`` /
-    ``socrates_incidents_total`` counters, so a ``--from metrics.prom``
-    snapshot renders the same panel as a live run."""
-    fired: dict = {}
-    incidents = 0.0
-    suppressed = 0.0
-    for instrument in metrics.instruments():
-        if not isinstance(instrument, Counter):
-            continue
-        if instrument.name == "socrates_alerts_total":
-            labels = dict(instrument.labels)
-            key = (labels.get("alert", "?"), labels.get("severity", "?"))
-            fired[key] = fired.get(key, 0.0) + instrument.value
-        elif instrument.name == "socrates_incidents_total":
-            incidents += instrument.value
-        elif instrument.name == "socrates_alerts_suppressed_total":
-            suppressed += instrument.value
-    if not fired and incidents == 0 and alerts is None:
-        return []
-    lines = ["", "alerts"]
-    total = sum(fired.values())
-    headline = f"  fired: {total:g}   incidents: {incidents:g}"
-    if suppressed:
-        headline += f"   suppressed: {suppressed:g}"
-    lines.append(headline)
-    for (name, severity), count in sorted(fired.items()):
-        lines.append(f"  [{severity:4s}] {name}  x{count:g}")
-    recent = list(getattr(alerts, "alerts", []) or [])
-    if recent:
-        last = recent[-1]
-        lines.append(f"  last: {last.message}  (t={last.t:.2f}s)")
-    return lines
-
-
 def _histogram_section(instrument: Histogram, width: int) -> List[str]:
     labels = [f"<={boundary:g}" for boundary in instrument.boundaries] + ["+Inf"]
     lines = [
@@ -151,7 +112,6 @@ def render_dashboard(
     audit: Optional[AdaptationAuditLog] = None,
     width: int = 72,
     frame: Optional[int] = None,
-    alerts=None,
 ) -> str:
     """One dashboard frame as a string (no printing, no ANSI codes)."""
     bar_width = max(10, min(32, width - 44))
@@ -203,7 +163,6 @@ def render_dashboard(
         )
 
     lines.extend(_energy_section(metrics, bar_width))
-    lines.extend(_alerts_section(metrics, alerts=alerts))
 
     histograms = [
         instrument

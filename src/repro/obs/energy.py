@@ -23,7 +23,7 @@ module reconstructs where the joules went:
   to the totals — enforced by :meth:`EnergyLedger.verify` and by
   ``socrates obs validate``;
 * :class:`EnergyBudget` / :func:`check_budgets` watch the Figure 4
-  power/energy budgets over a timeline and emit violation alerts into
+  power/energy budgets over a timeline and record violations into
   the metrics registry and the adaptation audit log (as
   :class:`~repro.obs.audit.SloTrace` records); ``socrates energy slo``
   turns the verdicts into a ``bench gate``-style exit code (0 met,
@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -638,8 +639,19 @@ class EnergyBudget:
     domain: str = "package"
 
     def __post_init__(self) -> None:
-        if self.power_w is None and self.peak_power_w is None and self.energy_j is None:
+        limits = {
+            "power_w": self.power_w,
+            "peak_power_w": self.peak_power_w,
+            "energy_j": self.energy_j,
+        }
+        if all(value is None for value in limits.values()):
             raise ValueError(f"budget {self.name!r} declares no limit")
+        for field_name, value in limits.items():
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ValueError(
+                    f"budget {self.name!r}: {field_name} must be positive and "
+                    f"finite, got {value!r}"
+                )
 
 
 @dataclass(frozen=True)
@@ -688,7 +700,7 @@ def check_budgets(
     metrics=None,
     audit=None,
 ) -> List[BudgetVerdict]:
-    """Evaluate budgets over a timeline; emit alerts on violation.
+    """Evaluate budgets over a timeline; record every violation.
 
     Violations increment
     ``socrates_energy_budget_violations_total{budget=,kernel=}`` in

@@ -85,23 +85,15 @@ class _SpanContext:
 
 
 class Tracer:
-    """Collects a tree of :class:`Span` records.
-
-    ``sink`` optionally streams every span closure to a consumer (the
-    alert engine's flight recorder) the moment :meth:`_finish` runs;
-    the default ``None`` keeps the hot path a single falsy check, so
-    runs without alerting are unaffected.
-    """
+    """Collects a tree of :class:`Span` records."""
 
     enabled = True
-    sink = None  # class default: NullTracer inherits it without __init__
 
     def __init__(self, clock: Callable[[], float] = time.perf_counter) -> None:
         self._clock = clock
         self._spans: List[Span] = []
         self._stack: List[Span] = []
         self._next_id = 1
-        self.sink = None
 
     # -- recording -----------------------------------------------------------
 
@@ -127,8 +119,6 @@ class Tracer:
             self._stack.pop()
         span.end_s = self._clock()
         self._spans.append(span)
-        if self.sink is not None:
-            self.sink.on_span(span)
 
     def annotate(self, **attributes: object) -> None:
         """Attach attributes to the innermost open span (no-op outside)."""

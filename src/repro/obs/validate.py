@@ -19,9 +19,6 @@ the first problem found, and returns a small summary dict on success.
   series are cumulative.
 * :func:`validate_events_jsonl` — every line is a JSON object with a
   known ``type``.
-* :func:`validate_incident` — a ``socrates-incident/1`` flight-recorder
-  bundle is well-formed, its window events are in virtual-time order,
-  and its ``incident_id`` matches the recomputed content fingerprint.
 * profiling observatory exports — ``.folded`` flame-graph stacks and
   ``socrates-profile/1`` JSON documents delegate to
   :func:`repro.obs.profile.validate_folded_text` /
@@ -353,90 +350,8 @@ def validate_energy_ledger(path: PathLike) -> Dict[str, object]:
     }
 
 
-def validate_incident(path: PathLike) -> Dict[str, object]:
-    """Validate a ``socrates-incident/1`` flight-recorder bundle.
-
-    Checks the schema shape (alert, attribution, per-kind window
-    lists), that every window's events are in non-decreasing
-    virtual-time order (the flight recorder's eviction invariant), and
-    that the ``incident_id`` matches the recomputed content
-    fingerprint — a tampered or truncated bundle fails loudly.
-    """
-    from repro.obs.flight import incident_fingerprint, load_incident
-
-    document = load_incident(path)
-    for key in ("incident_id", "kernel", "t", "alert", "attribution", "window"):
-        if key not in document:
-            raise ValueError(f"{path}: incident bundle lacks required key {key!r}")
-    alert = document["alert"]
-    if not isinstance(alert, dict):
-        raise ValueError(f"{path}: 'alert' is not an object")
-    for key in ("name", "detector", "severity", "t", "message"):
-        if key not in alert:
-            raise ValueError(f"{path}: alert lacks required key {key!r}")
-    attribution = document["attribution"]
-    if not isinstance(attribution, dict):
-        raise ValueError(f"{path}: 'attribution' is not an object")
-    for key in ("span", "domain"):
-        if key not in attribution:
-            raise ValueError(f"{path}: attribution lacks required key {key!r}")
-    window = document["window"]
-    if not isinstance(window, dict):
-        raise ValueError(f"{path}: 'window' is not an object")
-    events = 0
-    for kind in ("spans", "metrics", "energy", "audit", "alerts"):
-        ring = window.get(kind)
-        if not isinstance(ring, list):
-            raise ValueError(f"{path}: window lacks event list {kind!r}")
-        last = None
-        for index, event in enumerate(ring):
-            if not isinstance(event, dict) or not isinstance(
-                event.get("t"), (int, float)
-            ):
-                raise ValueError(
-                    f"{path}: window {kind}[{index}] lacks a numeric 't'"
-                )
-            t = float(event["t"])
-            if last is not None and t < last - 1e-9:
-                raise ValueError(
-                    f"{path}: window {kind}[{index}] at t={t!r}s breaks "
-                    f"virtual-time order (previous event at t={last!r}s)"
-                )
-            last = t
-            events += 1
-    expected = incident_fingerprint(document)
-    if document["incident_id"] != expected:
-        raise ValueError(
-            f"{path}: incident_id {document['incident_id']!r} does not match "
-            f"the recomputed content fingerprint {expected!r} "
-            "(bundle modified or truncated?)"
-        )
-    return {
-        "incident_id": document["incident_id"],
-        "kernel": document["kernel"],
-        "alert": alert["name"],
-        "events": events,
-    }
-
-
-def validate_run_record_file(path: PathLike) -> Dict[str, object]:
-    """Validate a ``socrates-run/1`` telemetry-warehouse run record.
-
-    Delegates to :func:`repro.obs.store.validate_run_record`, which
-    recomputes the run id from the identity fields — a hand-edited
-    record fails loudly.
-    """
-    from repro.obs.store import validate_run_record
-
-    try:
-        document = json.loads(_read_text(path))
-    except json.JSONDecodeError as error:
-        raise ValueError(f"{path}: not valid JSON ({error})") from None
-    return validate_run_record(document, label=str(path))
-
-
 def validate_bench_baseline(path: PathLike) -> Dict[str, object]:
-    """Validate a ``socrates-bench/1`` baseline / stored bench report."""
+    """Validate a ``socrates-bench/1`` baseline."""
     from repro.bench.baseline import load_baseline
 
     baseline = load_baseline(path)
@@ -450,9 +365,9 @@ def validate_bench_baseline(path: PathLike) -> Dict[str, object]:
 
 def validate_file(path: PathLike) -> Dict[str, object]:
     """Dispatch on file suffix: .json → Chrome trace, energy ledger,
-    incident bundle, flame profile, bench baseline or warehouse run
-    record (sniffed on content), .jsonl → event stream, .prom/.txt →
-    Prometheus text, .folded → folded flame-graph stacks."""
+    flame profile or bench baseline (sniffed on content), .jsonl →
+    event stream, .prom/.txt → Prometheus text, .folded → folded
+    flame-graph stacks."""
     suffix = Path(path).suffix.lower()
     if suffix == ".jsonl":
         return validate_events_jsonl(path)
@@ -463,9 +378,7 @@ def validate_file(path: PathLike) -> Dict[str, object]:
     if suffix == ".json":
         from repro.bench.baseline import SCHEMA as BENCH_SCHEMA
         from repro.obs.energy import LEDGER_SCHEMA
-        from repro.obs.flight import INCIDENT_SCHEMA
         from repro.obs.profile import PROFILE_SCHEMA, validate_profile_json
-        from repro.obs.store import RUN_SCHEMA
 
         try:
             document = json.loads(_read_text(path))
@@ -473,14 +386,10 @@ def validate_file(path: PathLike) -> Dict[str, object]:
             raise ValueError(f"{path}: not valid JSON ({error})") from None
         if isinstance(document, dict) and document.get("schema") == LEDGER_SCHEMA:
             return validate_energy_ledger(path)
-        if isinstance(document, dict) and document.get("schema") == INCIDENT_SCHEMA:
-            return validate_incident(path)
         if isinstance(document, dict) and document.get("schema") == PROFILE_SCHEMA:
             return validate_profile_json(path)
         if isinstance(document, dict) and document.get("schema") == BENCH_SCHEMA:
             return validate_bench_baseline(path)
-        if isinstance(document, dict) and document.get("schema") == RUN_SCHEMA:
-            return validate_run_record_file(path)
         return validate_chrome_trace(path)
     if suffix in (".prom", ".txt"):
         return validate_prometheus_text(path)
@@ -493,27 +402,3 @@ def validate_file(path: PathLike) -> Dict[str, object]:
 #: Suffixes :func:`validate_file` can dispatch; anything else inside a
 #: directory walk is counted as skipped rather than failing the run.
 VALIDATABLE_SUFFIXES = (".json", ".jsonl", ".prom", ".txt", ".folded")
-
-
-def validate_tree(root: PathLike) -> Tuple[List[Tuple[Path, Dict[str, object]]], int]:
-    """Recursively validate every known artifact under ``root``.
-
-    Returns ``(validated, skipped)`` where ``validated`` is a list of
-    ``(path, summary)`` pairs in sorted order and ``skipped`` counts
-    files whose suffix no validator claims (a store's journal and pin
-    markers, editor droppings, ...).  Raises :class:`ValueError` on
-    the first malformed artifact — a directory is checked as a unit.
-    """
-    base = Path(root)
-    if not base.is_dir():
-        raise ValueError(f"{root}: not a directory")
-    validated: List[Tuple[Path, Dict[str, object]]] = []
-    skipped = 0
-    for path in sorted(base.rglob("*")):
-        if not path.is_file():
-            continue
-        if path.suffix.lower() not in VALIDATABLE_SUFFIXES:
-            skipped += 1
-            continue
-        validated.append((path, validate_file(path)))
-    return validated, skipped

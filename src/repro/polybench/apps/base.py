@@ -10,7 +10,6 @@ every woven/compiled variant must compute the same output).
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Mapping, Tuple
 
@@ -48,15 +47,6 @@ class BenchmarkApp:
     def parse(self) -> TranslationUnit:
         """Parse the benchmark source into a fresh translation unit."""
         return parse(self.source, name=f"{self.name}.c")
-
-    def source_fingerprint(self) -> str:
-        """Content hash of the benchmark source.
-
-        This is the ``source:`` provenance node of a telemetry-
-        warehouse run record: runs of the same app text share it, and
-        any source change breaks the lineage to prior runs.
-        """
-        return hashlib.sha256(self.source.encode()).hexdigest()
 
     def scaled_sizes(self, scale: float) -> Dict[str, int]:
         """Dataset dimensions shrunk by ``scale`` (minimum 4)."""

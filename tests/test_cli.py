@@ -39,34 +39,29 @@ class TestParser:
             ["obs", "diff", "a.json", "b.json", "--limit", "5"],
             ["obs", "diff", "a.json", "b.json", "--json"],
             ["obs", "top", "--from", "m.prom", "--once"],
-            ["obs", "top", "--once", "--alerts"],
-            ["obs", "incidents", "record", "--duration", "2.0"],
-            ["obs", "incidents", "record", "mvt", "--machine", "xeon_2s"],
-            ["obs", "incidents", "list", "--dir", "x"],
-            ["obs", "incidents", "show", "inc-abc", "--dir", "x"],
-            ["obs", "incidents", "report", "--latest"],
-            ["obs", "incidents", "report", "inc-abc"],
-            ["obs", "runs", "record", "build", "2mm", "--store", "wh"],
-            ["obs", "runs", "record", "bench", "single_build", "--store", "wh",
-             "--label", "r1", "--inject-slowdown", "engine.evaluate:2.0"],
-            ["obs", "runs", "record", "trace", "mvt", "--store", "wh",
-             "--duration", "3", "--json"],
-            ["obs", "runs", "record", "dse", "mvt", "--store", "wh",
-             "--seed", "0xBEEF", "--machine", "biglittle_8p8e"],
-            ["obs", "runs", "list", "--store", "wh", "--json"],
-            ["obs", "runs", "show", "abc123", "--store", "wh"],
-            ["obs", "runs", "pin", "abc123", "--store", "wh"],
-            ["obs", "runs", "unpin", "abc123", "--store", "wh"],
-            ["obs", "runs", "gc", "--store", "wh", "--keep", "3", "--dry-run"],
-            ["obs", "lineage", "run:abc123", "--store", "wh", "--json"],
-            ["obs", "query", "kind=bench and seed=0", "--store", "wh",
-             "--agg", "median:wall_s"],
-            ["obs", "trend", "single_build", "--store", "wh", "--window", "5",
-             "--threshold", "0.2", "--json"],
-            ["build", "2mm", "--store", "wh", "--store-label", "x"],
-            ["dse", "mvt", "--store", "wh"],
-            ["bench", "run", "--scenario", "single_build", "--store", "wh"],
-            ["bench", "gate", "--history-store", "wh", "--history-window", "4"],
+            ["obs", "top", "--once"],
+            ["obs", "export", "mvt", "--out-dir", "x", "--duration", "3"],
+            ["obs", "validate", "a.json", "dir"],
+            ["obs", "flame", "mvt", "--folded", "--out", "p.folded"],
+            ["obs", "flame", "--diff", "a.folded", "b.folded"],
+            ["obs", "flame", "--scenario", "single_build", "--out-dir", "x"],
+            ["obs", "whatif", "--trace", "t.json", "--speedups", "10,50", "--json"],
+            ["energy", "report", "mvt", "--json", "--ledger-out", "l.json"],
+            ["energy", "timeline", "mvt", "--csv", "t.csv"],
+            ["energy", "slo", "mvt", "--power-budget", "40", "--budget-domain", "P:package"],
+            ["trace", "margot.json", "--duration", "5", "--audit-out", "a.jsonl"],
+            ["trace", "margot.json", "--machine", "biglittle_4p4e", "--trace-out", "t.json"],
+            ["build", "2mm", "--machine", "biglittle_4p4e", "--trace-out", "t.json"],
+            ["dse", "mvt", "--prune", "--verify-front", "--json"],
+            ["dse", "syr2k", "--prune-plan", "plan.json", "--seed", "0xBEEF"],
+            ["bench", "run", "--all", "--out-dir", "x", "--trace-out-dir", "t"],
+            ["bench", "gate", "--scenario", "single_build", "--baseline-dir", "b"],
+            ["predict", "2mm", "-k", "2"],
+            ["profiles"],
+            ["loocv", "--apps", "mvt,atax", "-k", "3"],
+            ["run", "2mm", "--weaved", "--version", "3", "--size", "6"],
+            ["margot-header", "margot.json", "--out", "margot.h"],
+            ["experiments", "--threads", "1,4"],
             ["check", "2mm"],
             ["check", "--all", "--json", "--out", "check.json"],
             ["check", "--all", "--sarif"],
@@ -81,6 +76,26 @@ class TestParser:
     def test_check_json_and_sarif_are_exclusive(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["check", "--all", "--json", "--sarif"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["obs", "runs", "list", "--store", "wh"],
+            ["obs", "incidents", "list"],
+            ["obs", "lineage", "run:abc"],
+            ["obs", "query", "kind=bench"],
+            ["obs", "trend", "single_build"],
+            ["obs", "top", "--once", "--alerts"],
+            ["build", "2mm", "--store", "wh"],
+            ["trace", "margot.json", "--store-label", "x"],
+            ["dse", "mvt", "--store", "wh"],
+            ["bench", "run", "--store", "wh"],
+            ["bench", "gate", "--history-store", "wh"],
+        ],
+    )
+    def test_removed_commands_and_flags_are_rejected(self, argv):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
 
 
 class TestCommands:
@@ -547,86 +562,71 @@ class TestObsTopHardening:
         assert "socrates" in capsys.readouterr().out
 
 
-class TestIncidentPipeline:
-    """`obs incidents record | list | show | report` end to end."""
-
-    @pytest.fixture(scope="class")
-    def incident_dir(self, tmp_path_factory):
-        out_dir = tmp_path_factory.mktemp("incidents")
-        code = main(
-            [
-                "obs",
-                "incidents",
-                "record",
-                "--duration",
-                "2.0",
-                "--repetitions",
-                "1",
-                "--threads",
-                "1,2",
-                "--out-dir",
-                str(out_dir),
-            ]
-        )
-        assert code == 0
-        return out_dir
-
-    def test_record_writes_deterministic_bundles(self, incident_dir, capsys):
-        names = sorted(path.name for path in incident_dir.iterdir())
-        assert names == [
-            "INC_inc-5d97b2c83b17.json",
-            "INC_inc-9e329dda0eaa.json",
-        ]
-
-    def test_bundles_validate(self, incident_dir, capsys):
-        paths = sorted(str(path) for path in incident_dir.iterdir())
-        assert main(["obs", "validate", *paths]) == 0
+class TestValidateDirectory:
+    def test_directory_with_bad_artifact_exits_2(self, tmp_path, capsys):
+        good = tmp_path / "good.prom"
+        good.write_text("# TYPE x counter\nx 1.0\n")
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        skipped = tmp_path / "notes.md"
+        skipped.write_text("not an artifact")
+        assert main(["obs", "validate", str(tmp_path)]) == 2
         out = capsys.readouterr().out
-        assert out.count("OK") == 2
-        assert "incident_id=inc-5d97b2c83b17" in out
-        assert "kernel=mvt" in out
+        assert f"{bad}: FAIL" in out
 
-    def test_list(self, incident_dir, capsys):
-        assert main(["obs", "incidents", "list", "--dir", str(incident_dir)]) == 0
+    def test_directory_all_good_summarizes(self, tmp_path, capsys):
+        (tmp_path / "m.prom").write_text("# TYPE x counter\nx 1.0\n")
+        (tmp_path / "p.folded").write_text("a;b 1.0\n")
+        (tmp_path / "notes.md").write_text("skip me")
+        assert main(["obs", "validate", str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert "inc-5d97b2c83b17" in out and "inc-9e329dda0eaa" in out
-        assert "budget_burn:package_cap" in out
+        assert "validated 2 file(s), skipped 1" in out
 
-    def test_show_by_prefix(self, incident_dir, capsys):
-        code = main(
-            ["obs", "incidents", "show", "inc-5d97", "--dir", str(incident_dir)]
-        )
-        assert code == 0
-        document = json.loads(capsys.readouterr().out)
-        assert document["incident_id"] == "inc-5d97b2c83b17"
-        assert document["kernel"] == "mvt"
+    def test_empty_directory_rejected(self, tmp_path, capsys):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        assert main(["obs", "validate", str(empty)]) == 2
 
-    def test_ambiguous_prefix_is_exit_2(self, incident_dir, capsys):
-        code = main(["obs", "incidents", "show", "inc-", "--dir", str(incident_dir)])
-        assert code == 2
-        assert "ambiguous" in capsys.readouterr().err
 
-    def test_unknown_prefix_is_exit_2(self, incident_dir, capsys):
-        code = main(
-            ["obs", "incidents", "show", "inc-zzzz", "--dir", str(incident_dir)]
-        )
-        assert code == 2
-        assert "no incident id starts with" in capsys.readouterr().err
+class TestInputErrors:
+    """Bad inputs exit 2 with an error that names the offending input,
+    before any build runs."""
 
-    def test_report_latest_names_offender(self, incident_dir, capsys):
-        code = main(
-            ["obs", "incidents", "report", "--latest", "--dir", str(incident_dir)]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "inc-9e329dda0eaa" in out  # highest t wins
-        assert "budget_burn:package_cap" in out
-        assert "kernel.execute" in out
-        assert "domain" in out and "package" in out
+    def test_fig5_zero_duration(self, capsys):
+        assert main(["fig5", "--app", "mvt", "--duration", "0"] + FAST) == 2
+        err = capsys.readouterr().err
+        assert "duration_s must be positive" in err
+        assert "strictly increasing" not in err
 
-    def test_empty_dir_list_is_friendly(self, tmp_path, capsys):
-        # list prints a notice; show/report raise the named error
-        assert main(["obs", "incidents", "list", "--dir", str(tmp_path)]) == 0
-        assert "no incident bundles" in capsys.readouterr().out
-        assert main(["obs", "incidents", "report", "--latest", "--dir", str(tmp_path)]) == 2
-        assert "no INC_*.json incident bundles found" in capsys.readouterr().err
+    def test_energy_report_negative_duration(self, capsys):
+        assert main(["energy", "report", "mvt", "--duration", "-2"] + FAST) == 2
+        captured = capsys.readouterr()
+        assert "duration_s must be positive" in captured.err
+        assert "Building" not in captured.out
+
+    @pytest.mark.parametrize("budget", ["-5", "0"])
+    def test_energy_slo_non_positive_budget(self, budget, capsys):
+        argv = ["energy", "slo", "mvt", "--power-budget", budget, "--duration", "3"]
+        assert main(argv + FAST) == 2
+        captured = capsys.readouterr()
+        assert "power_w must be positive and finite" in captured.err
+        assert "Building" not in captured.out
+
+    def test_trace_missing_config(self, tmp_path, capsys):
+        missing = tmp_path / "absent.json"
+        assert main(["trace", str(missing)] + FAST) == 2
+        err = capsys.readouterr().err
+        assert f"{missing}: cannot read configuration" in err
+        assert "Expecting value" not in err
+
+    def test_trace_malformed_config(self, tmp_path, capsys):
+        path = tmp_path / "broken.json"
+        path.write_text("{not json")
+        assert main(["trace", str(path)] + FAST) == 2
+        assert f"{path}: invalid JSON configuration" in capsys.readouterr().err
+
+    def test_threads_not_integers(self, capsys):
+        assert main(["build", "mvt", "--threads", "a,b", "--repetitions", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "--threads expects comma-separated integers" in err
+        assert "invalid literal" not in err

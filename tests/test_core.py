@@ -146,6 +146,15 @@ class TestScenario:
         with pytest.raises(ValueError):
             Scenario(phases=[Phase(0.0, "a")], duration_s=0.0)
 
+    @pytest.mark.parametrize("duration", [0.0, -2.0, float("nan")])
+    def test_non_positive_duration_is_named(self, duration):
+        # the duration check runs before the phase checks, so a zero
+        # duration that collapses every phase start onto t=0 is still
+        # reported as a duration problem
+        phases = [Phase(0.0, "a"), Phase(duration / 3, "b"), Phase(2 * duration / 3, "a")]
+        with pytest.raises(ValueError, match="duration_s must be positive"):
+            Scenario(phases=phases, duration_s=duration)
+
     def test_state_at(self):
         scenario = Scenario(
             phases=[Phase(0.0, "a"), Phase(10.0, "b"), Phase(20.0, "a")],

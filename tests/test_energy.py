@@ -316,6 +316,23 @@ class TestBudgets:
         with pytest.raises(ValueError, match="declares no limit"):
             EnergyBudget("empty")
 
+    @pytest.mark.parametrize(
+        "limits",
+        [
+            {"power_w": -5.0},
+            {"power_w": 0.0},
+            {"peak_power_w": -1.0},
+            {"peak_power_w": 0.0},
+            {"energy_j": 0.0},
+            {"energy_j": float("inf")},
+            {"power_w": float("nan")},
+            {"power_w": 40.0, "energy_j": -1.0},
+        ],
+    )
+    def test_limits_must_be_positive_and_finite(self, limits):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            EnergyBudget("bad", **limits)
+
     def test_met_and_violated_verdicts(self, fig5_run):
         _, app, records = fig5_run
         timeline = build_timeline(app, records)

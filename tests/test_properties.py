@@ -332,131 +332,3 @@ class TestGoalProperties:
             assert goal.violation(observed) == 0.0
         else:
             assert goal.violation(observed) > 0.0
-
-
-# ---------------------------------------------------------------------------
-# streaming SLO alerting: backend independence + flight-ring ordering
-# ---------------------------------------------------------------------------
-
-from repro.core.scenario import Phase, Scenario  # noqa: E402
-from repro.core.toolflow import SocratesToolflow  # noqa: E402
-from repro.engine import ProcessPoolBackend  # noqa: E402
-from repro.margot.state import (  # noqa: E402
-    Constraint,
-    OptimizationState,
-    maximize_throughput,
-)
-from repro.obs import Observability  # noqa: E402
-from repro.obs.alerts import AlertPolicy  # noqa: E402
-from repro.obs.energy import EnergyBudget  # noqa: E402
-from repro.obs.flight import FlightRecorder  # noqa: E402
-from repro.polybench.suite import load as load_app  # noqa: E402
-
-
-def _alerting_run(backend=None):
-    """A seeded power-cap-violating run; returns the alert engine."""
-    policy = AlertPolicy(
-        budgets=(EnergyBudget("package_cap", power_w=40.0),),
-        burn_short_s=0.1,
-        burn_long_s=0.5,
-    )
-    obs = Observability(alerting=True, alert_policy=policy)
-    flow = SocratesToolflow(
-        machine="biglittle_8p8e",
-        dse_repetitions=1,
-        thread_counts=[1, 2],
-        backend=backend,
-        obs=obs,
-    )
-    app = flow.build(load_app("mvt")).adaptive
-    app.add_state(
-        OptimizationState("Throughput", rank=maximize_throughput()), activate=True
-    )
-    capped = OptimizationState("PowerCap", rank=maximize_throughput())
-    capped.add_constraint(
-        Constraint(Goal("power", ComparisonFunction.LESS_OR_EQUAL, 22.0))
-    )
-    app.add_state(capped)
-    scenario = Scenario(
-        phases=[Phase(0.0, "Throughput"), Phase(0.66, "PowerCap"), Phase(1.33, "Throughput")],
-        duration_s=2.0,
-    )
-    records = scenario.run(app)
-    return obs.alerts, records
-
-
-class TestAlertBackendIndependence:
-    """The detector verdicts are a pure function of the seeded virtual
-    timeline: evaluating the DSE on a process pool instead of serially
-    must not move, add, or drop a single alert."""
-
-    def test_verdicts_identical_across_backends(self):
-        serial_engine, serial_records = _alerting_run()
-        pool_engine, pool_records = _alerting_run(ProcessPoolBackend(max_workers=2))
-        assert serial_records == pool_records
-        assert [a.as_dict() for a in serial_engine.alerts] == [
-            a.as_dict() for a in pool_engine.alerts
-        ]
-        assert serial_engine.alerts  # the scenario does fire
-        assert [b.incident_id for b in serial_engine.incidents] == [
-            b.incident_id for b in pool_engine.incidents
-        ]
-        # the canonical form (wall-clock span timings reduced out) and
-        # the root-cause attribution must agree exactly
-        from repro.obs.flight import incident_fingerprint
-
-        assert [incident_fingerprint(b.as_dict()) for b in serial_engine.incidents] == [
-            incident_fingerprint(b.as_dict()) for b in pool_engine.incidents
-        ]
-        assert [b.attribution for b in serial_engine.incidents] == [
-            b.attribution for b in pool_engine.incidents
-        ]
-
-
-class TestFlightRingOrdering:
-    """The flight ring is a virtual-time data structure: entries leave
-    in exactly the order they arrived, and time never runs backwards."""
-
-    @given(
-        st.lists(
-            st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
-            min_size=1,
-            max_size=64,
-        ),
-        st.integers(min_value=1, max_value=8),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_eviction_preserves_arrival_order(self, times, capacity):
-        times = sorted(times)
-        evicted = []
-        flight = FlightRecorder(
-            capacity=capacity, on_evict=lambda event: evicted.append(event.t)
-        )
-        for t in times:
-            flight.record_span(t, object())
-        kept = [event.t for event in flight.events("span")]
-        assert evicted + kept == times
-        assert len(kept) == min(capacity, len(times))
-        assert evicted == sorted(evicted)
-
-    @given(
-        st.lists(
-            # millisecond grid: any inversion is >= 1e-3, far beyond
-            # the bus's 1e-9 float tolerance, so accept/reject is crisp
-            st.integers(min_value=0, max_value=10**6).map(lambda n: n / 1000.0),
-            min_size=2,
-            max_size=32,
-        )
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_out_of_order_arrival_is_rejected(self, times):
-        has_inversion = any(b < a for a, b in zip(times, times[1:]))
-        flight = FlightRecorder(capacity=128)
-        if not has_inversion:
-            for t in times:
-                flight.record_energy(t, object())
-            assert flight.recorded == len(times)
-        else:
-            with pytest.raises(ValueError, match="virtual-time order"):
-                for t in times:
-                    flight.record_energy(t, object())

@@ -122,28 +122,36 @@ def test_perf_asrtm_update(benchmark, timer, machine):
     assert timer.count("asrtm.update") >= 1
 
 
-def test_perf_bn_posterior(benchmark, timer):
-    """One COBAYN posterior over the 128-combo space."""
+def _cobayn_rows(features, count):
+    """COBAYN-shaped BN data: ``features`` 3-level feature nodes, the
+    level and the six flags, with ``count`` random rows."""
     import numpy as np
 
-    from repro.cobayn.bn import DiscreteBayesianNetwork, NodeSpec
-    from repro.cobayn.corpus import flag_assignment
-    from repro.gcc.flags import cobayn_space
-
-    nodes = [NodeSpec(f"ft{i}", 3) for i in range(4)]
-    nodes.append(NodeSpec("level", 2))
+    from repro.cobayn.bn import NodeSpec
     from repro.gcc.flags import ALL_FLAGS
 
+    nodes = [NodeSpec(f"ft{i}", 3) for i in range(features)]
+    nodes.append(NodeSpec("level", 2))
     nodes.extend(NodeSpec(flag.value, 2) for flag in ALL_FLAGS)
-    network = DiscreteBayesianNetwork(nodes)
     rng = np.random.default_rng(0)
     rows = []
-    for _ in range(150):
-        row = {f"ft{i}": int(rng.integers(3)) for i in range(4)}
+    for _ in range(count):
+        row = {f"ft{i}": int(rng.integers(3)) for i in range(features)}
         row["level"] = int(rng.integers(2))
         for flag in ALL_FLAGS:
             row[flag.value] = int(rng.integers(2))
         rows.append(row)
+    return nodes, rows
+
+
+def test_perf_bn_posterior(benchmark, timer):
+    """One COBAYN posterior over the 128-combo space."""
+    from repro.cobayn.bn import DiscreteBayesianNetwork
+    from repro.cobayn.corpus import flag_assignment
+    from repro.gcc.flags import cobayn_space
+
+    nodes, rows = _cobayn_rows(features=4, count=150)
+    network = DiscreteBayesianNetwork(nodes)
     network.fit(rows)
     evidence = {f"ft{i}": 1 for i in range(4)}
     query = flag_assignment(cobayn_space()[77])
@@ -151,3 +159,23 @@ def test_perf_bn_posterior(benchmark, timer):
     probability = benchmark(timer.wrap("bn.posterior", network.posterior), query, evidence)
     assert 0.0 <= probability <= 1.0
     assert timer.count("bn.posterior") >= 1
+
+
+def test_perf_bn_learn_structure(benchmark, timer):
+    """One COBAYN structure search on a corpus-shaped data set: 143 rows
+    over 13 nodes (six feature nodes that receive no arcs, the level and
+    the six flags), one parent per node, as the autotuner trains."""
+    from repro.cobayn.bn import learn_structure
+
+    nodes, rows = _cobayn_rows(features=6, count=143)
+    features = {f"ft{i}" for i in range(6)}
+    network = benchmark(
+        timer.wrap("bn.learn_structure", learn_structure),
+        nodes,
+        rows,
+        max_parents=1,
+        forbidden_children=features,
+    )
+    assert len(network.node_names) == 13
+    assert all(child not in features for _, child in network.edges())
+    assert timer.count("bn.learn_structure") >= 1

@@ -19,18 +19,39 @@ Design notes
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import field, fields
+from typing import Dict, List, Optional, Tuple
+
+from repro.compat import slotted_dataclass
 
 
-@dataclass
+@slotted_dataclass
 class Node:
     """Base class for every AST node."""
 
     def clone(self) -> "Node":
-        """Return a deep copy of this node (used by kernel cloning)."""
-        return copy.deepcopy(self)
+        """Return a deep copy of this node (used by kernel cloning).
+
+        Every node and node list below it is copied; :class:`Type` nodes
+        and scalar fields are shared, since no pass changes them in place.
+        """
+        return _copy_tree(self)
+
+
+#: Field names of each node class, in ``__init__`` order.
+_FIELD_NAMES: Dict[type, Tuple[str, ...]] = {}
+
+
+def _copy_tree(value):
+    if isinstance(value, list):
+        return [_copy_tree(item) for item in value]
+    if not isinstance(value, Node) or isinstance(value, Type):
+        return value
+    cls = type(value)
+    names = _FIELD_NAMES.get(cls)
+    if names is None:
+        names = _FIELD_NAMES[cls] = tuple(f.name for f in fields(cls))
+    return cls(*[_copy_tree(getattr(value, name)) for name in names])
 
 
 # ---------------------------------------------------------------------------
@@ -38,13 +59,16 @@ class Node:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@slotted_dataclass
 class Type(Node):
     """A (possibly qualified, possibly pointer) scalar type.
 
     ``name`` is the space-joined base type ("unsigned long", "double",
     a typedef name, ...), ``pointers`` the number of ``*`` levels and
     ``qualifiers`` an ordered tuple such as ``("static", "const")``.
+
+    No pass changes a Type once it is built (derive a new one with
+    ``dataclasses.replace``), so :meth:`Node.clone` shares it.
     """
 
     name: str
@@ -72,12 +96,12 @@ class Type(Node):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@slotted_dataclass
 class Expr(Node):
     """Base class for expressions."""
 
 
-@dataclass
+@slotted_dataclass
 class IntLit(Expr):
     text: str
 
@@ -87,7 +111,7 @@ class IntLit(Expr):
         return int(text, 0)
 
 
-@dataclass
+@slotted_dataclass
 class FloatLit(Expr):
     text: str
 
@@ -96,22 +120,22 @@ class FloatLit(Expr):
         return float(self.text.rstrip("fFlL"))
 
 
-@dataclass
+@slotted_dataclass
 class StringLit(Expr):
     text: str  # includes the surrounding quotes
 
 
-@dataclass
+@slotted_dataclass
 class CharLit(Expr):
     text: str  # includes the surrounding quotes
 
 
-@dataclass
+@slotted_dataclass
 class Ident(Expr):
     name: str
 
 
-@dataclass
+@slotted_dataclass
 class ArrayRef(Expr):
     """``base[i0][i1]...`` — indices kept as a list for nest analysis."""
 
@@ -119,7 +143,7 @@ class ArrayRef(Expr):
     indices: List[Expr]
 
 
-@dataclass
+@slotted_dataclass
 class Call(Expr):
     func: Expr
     args: List[Expr]
@@ -132,7 +156,7 @@ class Call(Expr):
         return None
 
 
-@dataclass
+@slotted_dataclass
 class Member(Expr):
     """``base.field`` or ``base->field``."""
 
@@ -141,21 +165,21 @@ class Member(Expr):
     arrow: bool = False
 
 
-@dataclass
+@slotted_dataclass
 class BinOp(Expr):
     op: str
     lhs: Expr
     rhs: Expr
 
 
-@dataclass
+@slotted_dataclass
 class UnaryOp(Expr):
     op: str
     operand: Expr
     postfix: bool = False  # for i++ / i--
 
 
-@dataclass
+@slotted_dataclass
 class Assign(Expr):
     """Assignment expression: ``lhs op rhs`` where op is ``=``, ``+=``, ..."""
 
@@ -164,20 +188,20 @@ class Assign(Expr):
     rhs: Expr
 
 
-@dataclass
+@slotted_dataclass
 class TernaryOp(Expr):
     cond: Expr
     then: Expr
     other: Expr
 
 
-@dataclass
+@slotted_dataclass
 class Cast(Expr):
     type: Type
     operand: Expr
 
 
-@dataclass
+@slotted_dataclass
 class SizeOf(Expr):
     """``sizeof(type)`` or ``sizeof expr``."""
 
@@ -185,7 +209,7 @@ class SizeOf(Expr):
     operand: Optional[Expr] = None
 
 
-@dataclass
+@slotted_dataclass
 class CompoundLiteral(Expr):
     """Brace initializer ``{a, b, {c}}`` (used in declarations)."""
 
@@ -197,17 +221,17 @@ class CompoundLiteral(Expr):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@slotted_dataclass
 class Stmt(Node):
     """Base class for statements."""
 
 
-@dataclass
+@slotted_dataclass
 class ExprStmt(Stmt):
     expr: Expr
 
 
-@dataclass
+@slotted_dataclass
 class Decl(Stmt):
     """A variable declaration, also usable at file scope.
 
@@ -225,7 +249,7 @@ class Decl(Stmt):
         return bool(self.array_dims)
 
 
-@dataclass
+@slotted_dataclass
 class DeclGroup(Stmt):
     """A comma declaration ``int i, j, k;`` kept as one statement.
 
@@ -236,31 +260,31 @@ class DeclGroup(Stmt):
     decls: List[Decl] = field(default_factory=list)
 
 
-@dataclass
+@slotted_dataclass
 class Block(Stmt):
     stmts: List[Stmt] = field(default_factory=list)
 
 
-@dataclass
+@slotted_dataclass
 class If(Stmt):
     cond: Expr
     then: Stmt
     other: Optional[Stmt] = None
 
 
-@dataclass
+@slotted_dataclass
 class While(Stmt):
     cond: Expr
     body: Stmt
 
 
-@dataclass
+@slotted_dataclass
 class DoWhile(Stmt):
     body: Stmt
     cond: Expr
 
 
-@dataclass
+@slotted_dataclass
 class For(Stmt):
     """C ``for`` loop; ``init`` may be a declaration or an expression."""
 
@@ -270,22 +294,22 @@ class For(Stmt):
     body: Stmt
 
 
-@dataclass
+@slotted_dataclass
 class Return(Stmt):
     value: Optional[Expr] = None
 
 
-@dataclass
+@slotted_dataclass
 class Break(Stmt):
     pass
 
 
-@dataclass
+@slotted_dataclass
 class Continue(Stmt):
     pass
 
 
-@dataclass
+@slotted_dataclass
 class Pragma(Stmt):
     """A ``#pragma`` line; ``text`` excludes the ``#pragma `` prefix."""
 
@@ -300,7 +324,7 @@ class Pragma(Stmt):
         return self.text.startswith("GCC optimize")
 
 
-@dataclass
+@slotted_dataclass
 class EmptyStmt(Stmt):
     """A bare ``;``."""
 
@@ -310,14 +334,14 @@ class EmptyStmt(Stmt):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@slotted_dataclass
 class Param(Node):
     type: Type
     name: str
     array_dims: List[Expr] = field(default_factory=list)
 
 
-@dataclass
+@slotted_dataclass
 class FunctionDef(Node):
     return_type: Type
     name: str
@@ -335,7 +359,7 @@ class FunctionDef(Node):
         return f"{self.return_type} {self.name}({params})"
 
 
-@dataclass
+@slotted_dataclass
 class FunctionDecl(Node):
     """A function prototype (declaration without a body)."""
 
@@ -345,7 +369,7 @@ class FunctionDecl(Node):
     storage: Tuple[str, ...] = ()
 
 
-@dataclass
+@slotted_dataclass
 class Include(Node):
     """``#include <...>`` or ``#include "..."`` kept verbatim."""
 
@@ -359,7 +383,7 @@ class Include(Node):
         return f'#include "{self.target}"'
 
 
-@dataclass
+@slotted_dataclass
 class MacroDef(Node):
     """``#define NAME body`` kept verbatim (no expansion)."""
 
@@ -373,20 +397,20 @@ class MacroDef(Node):
         return f"#define {self.name}"
 
 
-@dataclass
+@slotted_dataclass
 class Typedef(Node):
     type: Type
     name: str
 
 
-@dataclass
+@slotted_dataclass
 class RawDirective(Node):
     """Any other preprocessor line (``#ifdef``, ``#endif``, ...)."""
 
     text: str
 
 
-@dataclass
+@slotted_dataclass
 class TranslationUnit(Node):
     """A whole source file: ordered list of top-level declarations."""
 

@@ -10,6 +10,7 @@ and both comment styles (stripped).
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import dataclass
 from typing import Iterator, List, Optional
 
@@ -197,7 +198,8 @@ class Lexer:
         start = self._pos
         while self._pos < len(self._src) and (self._peek().isalnum() or self._peek() == "_"):
             self._advance()
-        text = self._src[start : self._pos]
+        # interned: every parse of a name shares one string
+        text = sys.intern(self._src[start : self._pos])
         kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
         return Token(kind, text, line, col)
 

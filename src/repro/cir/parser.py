@@ -22,6 +22,7 @@ pointers) raises :class:`ParseError` with a source location.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import List, Optional, Tuple
 
 from repro.cir import ast
@@ -170,7 +171,7 @@ class Parser:
             return self._parse_function(tuple(storage), decl_type, name_token.text)
 
         decl = self._parse_declarator_tail(decl_type, name_token.text)
-        decl.type.qualifiers = tuple(storage) + decl.type.qualifiers
+        decl.type = replace(decl.type, qualifiers=tuple(storage) + decl.type.qualifiers)
         self._expect_op(";")
         return decl
 

@@ -97,7 +97,7 @@ class CobaynAutotuner:
             posterior = network.posterior(query, evidence)
             scored.append((config, posterior))
         scored.sort(key=lambda item: (-item[1], item[0].label))
-        return CobaynPrediction(kernel=features.kernel, ranked=scored[: max(k, len(scored))])
+        return CobaynPrediction(kernel=features.kernel, ranked=scored)
 
     def predict_top(self, features: FeatureVector, k: int = 4) -> List[FlagConfiguration]:
         """Convenience: just the top-``k`` configurations."""

@@ -128,21 +128,45 @@ class DiscreteBayesianNetwork:
 
     def fit(self, rows: Sequence[Assignment], alpha: float = 1.0) -> None:
         """Estimate every CPT from complete data with Laplace ``alpha``."""
+        columns = _encode(rows, self._nodes)
         for node in self._nodes:
-            self._cpts[node] = self._fit_node(node, rows, alpha)
+            counts = self._family_counts(columns, node, self._parents[node]) + alpha
+            self._cpts[node] = counts / counts.sum(axis=1, keepdims=True)
 
-    def _fit_node(
-        self, node: str, rows: Sequence[Assignment], alpha: float
+    def _family_counts(
+        self, columns: Mapping[str, np.ndarray], node: str, parents: Sequence[str]
     ) -> np.ndarray:
-        parents = self._parents[node]
-        parent_cards = [self._nodes[p].cardinality for p in parents]
-        rows_count = int(np.prod(parent_cards)) if parents else 1
-        card = self._nodes[node].cardinality
-        counts = np.full((rows_count, card), alpha, dtype=float)
-        for row in rows:
-            index = self._parent_index(parents, parent_cards, row)
-            counts[index, row[node]] += 1.0
-        return counts / counts.sum(axis=1, keepdims=True)
+        """Observed (parent configuration, ``node`` state) counts, shaped
+        like the CPT: one row per joint parent index, as in
+        :meth:`_parent_index`."""
+        index = np.zeros(len(columns[node]), dtype=np.intp)
+        combos = 1
+        for parent in parents:
+            card = self._nodes[parent].cardinality
+            index = index * card + columns[parent]
+            combos *= card
+        counts = np.zeros((combos, self._nodes[node].cardinality))
+        np.add.at(counts, (index, columns[node]), 1.0)
+        return counts
+
+    def _family_bic(
+        self,
+        columns: Mapping[str, np.ndarray],
+        node: str,
+        parents: Sequence[str],
+        alpha: float,
+    ) -> float:
+        """BIC term of one (node, parents) family: the log-likelihood of
+        the node's column under its smoothed CPT, less the family's share
+        of the parameter penalty."""
+        counts = self._family_counts(columns, node, parents)
+        smoothed = counts + alpha
+        probabilities = smoothed / smoothed.sum(axis=1, keepdims=True)
+        seen = counts > 0
+        log_likelihood = float(np.sum(counts[seen] * np.log(probabilities[seen])))
+        parameters = counts.shape[0] * (counts.shape[1] - 1)
+        rows = len(columns[node])
+        return log_likelihood - 0.5 * parameters * math.log(max(2, rows))
 
     @staticmethod
     def _parent_index(
@@ -216,18 +240,24 @@ class DiscreteBayesianNetwork:
     # -- scoring -----------------------------------------------------------------
 
     def bic_score(self, rows: Sequence[Assignment], alpha: float = 1.0) -> float:
-        """Bayesian Information Criterion of this structure on ``rows``."""
-        self.fit(rows, alpha=alpha)
-        log_likelihood = sum(self.log_probability(row) for row in rows)
-        parameters = 0
-        for node in self._nodes:
-            parents = self._parents[node]
-            combos = int(
-                np.prod([self._nodes[p].cardinality for p in parents])
-            ) if parents else 1
-            parameters += combos * (self._nodes[node].cardinality - 1)
-        penalty = 0.5 * parameters * math.log(max(2, len(rows)))
-        return log_likelihood - penalty
+        """Bayesian Information Criterion of this structure on ``rows``.
+
+        BIC decomposes over families, so this is the sum of one
+        :meth:`_family_bic` term per node; the CPTs are left untouched.
+        """
+        columns = _encode(rows, self._nodes)
+        return sum(
+            self._family_bic(columns, node, self._parents[node], alpha)
+            for node in self._nodes
+        )
+
+
+def _encode(rows: Sequence[Assignment], names: Iterable[str]) -> Dict[str, np.ndarray]:
+    """The rows as one integer column of state indices per node."""
+    return {
+        name: np.fromiter((row[name] for row in rows), dtype=np.intp, count=len(rows))
+        for name in names
+    }
 
 
 def learn_structure(
@@ -246,9 +276,21 @@ def learn_structure(
     """
     forbidden_children = forbidden_children or set()
     network = DiscreteBayesianNetwork(nodes)
-    best_score = network.bic_score(rows)
     names = [spec.name for spec in nodes]
+    columns = _encode(rows, names)
     rng = np.random.default_rng(seed)
+    # a move changes one family only, so each candidate is scored by that
+    # family's BIC delta; family scores are cached for this search
+    family_scores: Dict[Tuple[str, Tuple[str, ...]], float] = {}
+
+    def family_score(child: str, parents: List[str]) -> float:
+        key = (child, tuple(parents))
+        if key not in family_scores:
+            family_scores[key] = network._family_bic(columns, child, parents, 1.0)
+        return family_scores[key]
+
+    def improves(child: str, parents: List[str], trial: List[str]) -> bool:
+        return family_score(child, trial) > family_score(child, parents) + 1e-9
 
     for _ in range(max_iterations):
         improved = False
@@ -260,29 +302,21 @@ def learn_structure(
         ]
         rng.shuffle(candidates)
         for parent, child in candidates:
-            if parent in network.parents(child):
-                network.remove_edge(parent, child)
-                score = network.bic_score(rows)
-                if score > best_score + 1e-9:
-                    best_score = score
+            parents = network.parents(child)
+            if parent in parents:
+                if improves(child, parents, [p for p in parents if p != parent]):
+                    network.remove_edge(parent, child)
                     improved = True
-                else:
-                    network.add_edge(parent, child)
-                    network.fit(rows)
                 continue
-            if len(network.parents(child)) >= max_parents:
+            if len(parents) >= max_parents or not improves(
+                child, parents, parents + [parent]
+            ):
                 continue
             try:
                 network.add_edge(parent, child)
             except BayesError:
                 continue
-            score = network.bic_score(rows)
-            if score > best_score + 1e-9:
-                best_score = score
-                improved = True
-            else:
-                network.remove_edge(parent, child)
-                network.fit(rows)
+            improved = True
         if not improved:
             break
     network.fit(rows)

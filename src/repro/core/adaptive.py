@@ -16,9 +16,9 @@ weaves around the kernel wrapper:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
+from repro.compat import slotted_dataclass
 from repro.gcc.compiler import CompiledKernel
 from repro.machine.executor import ExecutionResult, MachineExecutor
 from repro.machine.openmp import BindingPolicy, OpenMPRuntime, ThreadPlacement
@@ -29,7 +29,7 @@ from repro.margot.state import OptimizationState
 from repro.obs import NULL_OBS, Observability
 
 
-@dataclass(frozen=True)
+@slotted_dataclass(frozen=True)
 class KernelVersion:
     """One compiled clone of the kernel (a wrapper dispatch target).
 
@@ -93,7 +93,7 @@ def build_version_table(
     return versions
 
 
-@dataclass(frozen=True)
+@slotted_dataclass(frozen=True)
 class InvocationRecord:
     """One row of the runtime trace (Figure 5's signals).
 

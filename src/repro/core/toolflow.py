@@ -306,7 +306,8 @@ class SocratesToolflow:
         training_apps: Optional[Sequence[BenchmarkApp]],
     ) -> List[FlagConfiguration]:
         tuner = self._trained_tuner(app, training_apps)
-        return tuner.predict_top(features, self._cobayn_k)
+        with self._obs.tracer.span("cobayn.predict", k=self._cobayn_k):
+            return tuner.predict_top(features, self._cobayn_k)
 
     def _trained_tuner(
         self,

@@ -16,7 +16,7 @@ re-exported from :mod:`repro.engine.model` for compatibility.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -53,11 +53,14 @@ KNOB_CLUSTER = "cluster"
 
 @dataclass
 class ExplorationResult:
-    """Everything the DSE produced for one kernel."""
+    """The knowledge base the DSE built for one kernel, with its coverage.
+
+    The raw repetitions are folded into the knowledge base's statistics
+    and not kept.
+    """
 
     kernel: str
     knowledge: KnowledgeBase
-    samples: List[ProfiledSample]
     explored_points: int
     space_size: int
     pruned_points: int = 0
@@ -139,7 +142,6 @@ class DesignSpaceExplorer:
         return ExplorationResult(
             kernel=profile.kernel,
             knowledge=knowledge,
-            samples=samples,
             explored_points=len(selected) - pruned,
             space_size=space.size,
             pruned_points=pruned,

@@ -23,11 +23,12 @@ hand-rolled loops byte for byte.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.engine.backends import ProcessPoolBackend, SerialBackend, Truth, WorkItem
-from repro.engine.caching import CompileCache, CompileKey, ProfileCache
+from repro.engine.backends import ProcessPoolBackend, SerialBackend, WorkItem
+from repro.engine.caching import CompileCache, ProfileCache
 from repro.engine.model import DesignPoint, ProfiledSample
 from repro.gcc.compiler import CompiledKernel, Compiler
 from repro.gcc.flags import FlagConfiguration
@@ -40,6 +41,10 @@ from repro.obs import NULL_OBS, Observability
 from repro.obs.metrics import DEFAULT_SIZE_BUCKETS
 from repro.polybench.apps.base import BenchmarkApp
 from repro.polybench.workload import WorkloadProfile
+
+#: Truth-cache key, one flat tuple: (app, kernel, flag label, threads,
+#: binding, cluster).
+TruthKey = Tuple[str, str, str, int, str, Optional[str]]
 
 
 @dataclass(frozen=True)
@@ -105,8 +110,10 @@ class EvaluationEngine:
         self._profile_cache = ProfileCache()
         # model truths are pure functions of (kernel, placement): cache
         # them so repeated visits (leave-one-out corpus rebuilds, suite
-        # sweeps) never re-run the machine model
-        self._truth_cache: Dict[Tuple[CompileKey, int, str, Optional[str]], Truth] = {}
+        # sweeps) never re-run the machine model; each key maps to its
+        # offset in ``_truths``, which holds (time, power) pairs unboxed
+        self._truth_cache: Dict[TruthKey, int] = {}
+        self._truths = array("d")
         self._truth_hits = 0
         self._truth_misses = 0
         self._points_evaluated = 0
@@ -241,9 +248,11 @@ class EvaluationEngine:
             if noisy
             else None
         )
-        point_keys = [
+        point_keys: List[Optional[TruthKey]] = [
             (
-                CompileCache.key(profile, point.compiler),
+                profile.name,
+                profile.kernel,
+                point.compiler.label,
                 point.threads,
                 point.binding.value,
                 point.cluster,
@@ -252,7 +261,7 @@ class EvaluationEngine:
             else None
             for point, masked in zip(points, mask)
         ]
-        missing: Dict[Tuple[CompileKey, int, str, Optional[str]], WorkItem] = {}
+        missing: Dict[TruthKey, WorkItem] = {}
         for point, key in zip(points, point_keys):
             if key is None:
                 continue
@@ -275,7 +284,8 @@ class EvaluationEngine:
                     self._executor, self._omp, list(missing.values()), **extra
                 )
             for key, truth in zip(missing, computed):
-                self._truth_cache[key] = truth
+                self._truth_cache[key] = len(self._truths)
+                self._truths.extend(truth)
         surviving = sum(1 for key in point_keys if key is not None)
         masked_count = len(points) - surviving
         self._truth_misses += len(missing)
@@ -288,7 +298,8 @@ class EvaluationEngine:
             key = point_keys[index]
             if key is None:
                 continue
-            time_truth, power_truth = self._truth_cache[key]
+            offset = self._truth_cache[key]
+            time_truth, power_truth = self._truths[offset], self._truths[offset + 1]
             if factor_blocks is not None:
                 block = factor_blocks[index]
                 times = [time_truth * time_factor for time_factor, _ in block]

@@ -12,11 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Mapping, Optional, Sequence
 
+from repro.compat import slotted_dataclass
 from repro.gcc.flags import FlagConfiguration
 from repro.machine.openmp import BindingPolicy
 
 
-@dataclass(frozen=True)
+@slotted_dataclass(frozen=True)
 class DesignPoint:
     """One configuration of the paper's autotuning space.
 
@@ -80,7 +81,7 @@ class DesignSpace:
         )
 
 
-@dataclass
+@slotted_dataclass
 class ProfiledSample:
     """Raw repetition measurements of one design point."""
 

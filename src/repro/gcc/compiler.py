@@ -8,15 +8,15 @@ power/code-size factors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Tuple
 
+from repro.compat import slotted_dataclass
 from repro.gcc.flags import FlagConfiguration
 from repro.gcc.passes import CodegenEffect, build_effect
 from repro.polybench.workload import WorkloadProfile
 
 
-@dataclass(frozen=True)
+@slotted_dataclass(frozen=True)
 class CompiledKernel:
     """Cost model of one kernel compiled under one flag configuration.
 

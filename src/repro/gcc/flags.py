@@ -13,8 +13,10 @@ Two sub-spaces are involved:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import field
 from typing import FrozenSet, Iterable, List, Tuple
+
+from repro.compat import slotted_dataclass
 
 
 class OptLevel(enum.Enum):
@@ -56,19 +58,23 @@ ALL_FLAGS: Tuple[Flag, ...] = tuple(Flag)
 COBAYN_SPACE_SIZE = 128
 
 
-@dataclass(frozen=True)
+@slotted_dataclass(frozen=True)
 class FlagConfiguration:
-    """One point of the compiler sub-space: a level plus toggled flags."""
+    """One point of the compiler sub-space: a level plus toggled flags.
+
+    ``label`` is the command-line style label, e.g. ``-O2 -fno-ivopts``,
+    built once so every knob value and cache key of this configuration
+    shares one string.
+    """
 
     level: OptLevel
     flags: FrozenSet[Flag] = frozenset()
+    label: str = field(init=False, repr=False, compare=False)
 
-    @property
-    def label(self) -> str:
-        """Command-line style label, e.g. ``-O2 -fno-ivopts``."""
+    def __post_init__(self) -> None:
         parts = [self.level.gcc_name]
         parts.extend(flag.gcc_name for flag in sorted(self.flags, key=lambda f: f.value))
-        return " ".join(parts)
+        object.__setattr__(self, "label", " ".join(parts))
 
     @property
     def pragma_text(self) -> str:

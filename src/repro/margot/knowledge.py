@@ -8,11 +8,12 @@ extra-functional property.  The knowledge base is built by the DSE
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
+from repro.compat import slotted_dataclass
 
-@dataclass(frozen=True)
+
+@slotted_dataclass(frozen=True)
 class MetricStats:
     """Profiled distribution of one metric at one operating point."""
 
@@ -27,7 +28,7 @@ class MetricStats:
         return self.mean - confidence * self.std
 
 
-@dataclass(frozen=True)
+@slotted_dataclass(frozen=True)
 class OperatingPoint:
     """One knob configuration with its expected metric distributions.
 
@@ -61,7 +62,8 @@ class KnowledgeBase:
         self._points: List[OperatingPoint] = []
         self._knob_names: Optional[Tuple[str, ...]] = None
         self._metric_names: Optional[Tuple[str, ...]] = None
-        self._seen: set = set()
+        # knob values in ``_knob_names`` order -> the point with them
+        self._seen: Dict[Tuple[object, ...], OperatingPoint] = {}
         for point in points or ():
             self.add(point)
 
@@ -81,9 +83,10 @@ class KnowledgeBase:
                 raise ValueError(
                     f"inconsistent metric schema: {metric_names} vs {self._metric_names}"
                 )
-        if point.key in self._seen:
+        key = tuple(point.knobs[name] for name in knob_names)
+        if key in self._seen:
             raise ValueError(f"duplicate operating point for knobs {dict(point.knobs)}")
-        self._seen.add(point.key)
+        self._seen[key] = point
         self._points.append(point)
 
     # -- queries -----------------------------------------------------------
@@ -113,9 +116,9 @@ class KnowledgeBase:
 
         Raises ``KeyError`` when absent.
         """
-        key = tuple(sorted(knobs.items(), key=lambda item: item[0]))
-        for point in self._points:
-            if point.key == key:
+        if tuple(sorted(knobs)) == self._knob_names:
+            point = self._seen.get(tuple(knobs[name] for name in self._knob_names))
+            if point is not None:
                 return point
         raise KeyError(f"no operating point with knobs {knobs}")
 

@@ -1,5 +1,11 @@
 """Tests for the COBAYN compiler autotuner and its Bayesian network."""
 
+import hashlib
+import itertools
+import json
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,9 +22,14 @@ from repro.cobayn.corpus import (
     flag_assignment,
 )
 from repro.cobayn.discretize import Discretizer
+from repro.engine.core import EvaluationEngine
 from repro.gcc.flags import ALL_FLAGS, FlagConfiguration, OptLevel, cobayn_space
 from repro.milepost.features import extract_features
-from repro.polybench.suite import load
+from repro.polybench.suite import all_apps, load
+
+#: Per leave-one-out tuner, as the row-wise structure search learned them:
+#: edges, a SHA-256 of the CPT bytes in node order, and the top-4 labels.
+LOO_TUNERS = Path(__file__).parent / "data" / "cobayn_loo_tuners.json"
 
 
 def rain_network():
@@ -138,6 +149,102 @@ class TestBayesianNetwork:
         network = rain_network()
         network.remove_edge("rain", "wet")
         assert ("rain", "wet") not in network.edges()
+
+
+def row_wise_bic(network, rows, alpha):
+    """The original BIC: refit every CPT row by row, then sum the joint
+    log-probability of every row, less the whole-network penalty."""
+    cpts = {}
+    for node in network.node_names:
+        parents = network.parents(node)
+        cards = [network.cardinality(parent) for parent in parents]
+        counts = np.full(
+            (int(np.prod(cards)) if parents else 1, network.cardinality(node)), alpha
+        )
+        for row in rows:
+            index = 0
+            for parent, card in zip(parents, cards):
+                index = index * card + row[parent]
+            counts[index, row[node]] += 1.0
+        cpts[node] = counts / counts.sum(axis=1, keepdims=True)
+    log_likelihood = 0.0
+    for row in rows:
+        for node in network.node_names:
+            index = 0
+            for parent in network.parents(node):
+                index = index * network.cardinality(parent) + row[parent]
+            log_likelihood += math.log(cpts[node][index, row[node]])
+    parameters = sum(
+        int(np.prod([network.cardinality(p) for p in network.parents(node)]))
+        * (network.cardinality(node) - 1)
+        for node in network.node_names
+    )
+    return log_likelihood - 0.5 * parameters * math.log(max(2, len(rows)))
+
+
+class TestFamilyBic:
+    NAMES = ("rain", "sprinkler", "wet")
+
+    def structures(self):
+        """Every DAG over the three sprinkler variables."""
+        edges = [(a, b) for a in self.NAMES for b in self.NAMES if a != b]
+        for count in range(len(edges) + 1):
+            for chosen in itertools.combinations(edges, count):
+                network = DiscreteBayesianNetwork([NodeSpec(n, 2) for n in self.NAMES])
+                try:
+                    for parent, child in chosen:
+                        network.add_edge(parent, child)
+                except BayesError:
+                    continue
+                yield network
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    def test_matches_row_wise_definition(self, alpha):
+        rows = rain_data(np.random.default_rng(0))
+        structures = list(self.structures())
+        assert len(structures) == 25  # labelled DAGs on three nodes
+        for network in structures:
+            assert abs(network.bic_score(rows, alpha) - row_wise_bic(network, rows, alpha)) <= 1e-9
+
+    def test_scoring_leaves_parameters_alone(self):
+        network = rain_network()
+        network.bic_score(rain_data(np.random.default_rng(0)))
+        with pytest.raises(BayesError):
+            network.cpt("rain")
+
+
+class TestLeaveOneOutExactness:
+    """The per-family structure search reproduces the row-wise one
+    exactly: same edges, bit-identical CPTs, same top-4 for all 12
+    leave-one-out tuners."""
+
+    @pytest.fixture(scope="class")
+    def tuners(self):
+        engine = EvaluationEngine()
+        apps = all_apps()
+        tuners = {}
+        for app in apps:
+            training = [other for other in apps if other.name != app.name]
+            corpus = build_corpus(
+                training, engine.compiler, engine.executor, engine.omp, engine=engine
+            )
+            tuner = CobaynAutotuner()
+            tuner.train(corpus)
+            tuners[app.name] = (tuner, engine.features(app))
+        return tuners
+
+    def test_matches_seed_tuners(self, tuners):
+        expected = json.loads(LOO_TUNERS.read_text())
+        assert sorted(tuners) == sorted(expected)
+        for name, (tuner, features) in tuners.items():
+            network = tuner.network
+            digest = hashlib.sha256()
+            for node in network.node_names:
+                digest.update(network.cpt(node).tobytes())
+            seed = expected[name]
+            assert [f"{p} -> {c}" for p, c in network.edges()] == seed["edges"], name
+            assert digest.hexdigest() == seed["cpt_sha256"], name
+            assert [c.label for c in tuner.predict_top(features, 4)] == seed["top4"], name
 
 
 class TestFlagEncoding:

@@ -15,6 +15,7 @@ from repro.dse.strategies import (
     RandomStrategy,
 )
 from repro.gcc.flags import FlagConfiguration, OptLevel, standard_levels
+from repro.machine.executor import MachineExecutor
 from repro.machine.openmp import BindingPolicy
 from repro.margot.knowledge import KnowledgeBase, MetricStats, OperatingPoint
 from repro.polybench.suite import load
@@ -126,9 +127,33 @@ class TestExplorer:
         stds = [point.metric("time").std for point in exploration.knowledge]
         assert any(std > 0 for std in stds)
 
-    def test_samples_recorded(self, exploration, small_space):
-        assert len(exploration.samples) == small_space.size
-        assert all(len(sample.times) == 4 for sample in exploration.samples)
+    def test_samples_recorded(self, small_space, compiler, machine, omp, monkeypatch):
+        """Every point is profiled with all repetitions, and the
+        knowledge base records each sample's statistics."""
+        explorer = DesignSpaceExplorer(
+            compiler, MachineExecutor(machine), omp, repetitions=4
+        )
+        evaluate = explorer.engine.evaluate
+        recorded = []
+
+        def spy(*args, **kwargs):
+            samples = evaluate(*args, **kwargs)
+            recorded.extend(samples)
+            return samples
+
+        monkeypatch.setattr(explorer.engine, "evaluate", spy)
+        exploration = explorer.explore(profile_kernel(load("2mm")), small_space)
+        assert len(recorded) == small_space.size
+        assert all(len(sample.times) == 4 for sample in recorded)
+        assert len(exploration.knowledge) == small_space.size
+        for sample in recorded:
+            point = exploration.knowledge.find(
+                compiler=sample.point.compiler.label,
+                threads=sample.point.threads,
+                binding=sample.point.binding.value,
+            )
+            assert point.metric("time").mean == np.mean(sample.times)
+            assert point.metric("time").std == np.std(sample.times, ddof=1)
 
     def test_throughput_consistent_with_time(self, exploration):
         for point in exploration.knowledge:

@@ -256,6 +256,15 @@ class TestKnowledgeBase:
         with pytest.raises(KeyError):
             kb.find(threads=3)
 
+    @pytest.mark.parametrize("knobs", [{}, {"threads": 8, "binding": "close"}, {"cores": 8}])
+    def test_find_mismatched_knob_set_raises(self, kb, knobs):
+        with pytest.raises(KeyError):
+            kb.find(**knobs)
+
+    def test_find_on_empty_knowledge_raises(self):
+        with pytest.raises(KeyError):
+            KnowledgeBase().find(threads=8)
+
     def test_metric_bounds(self, kb):
         low, high = kb.metric_bounds("power")
         assert (low, high) == (45.0, 130.0)

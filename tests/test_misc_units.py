@@ -166,7 +166,6 @@ class TestKnowledgeMisc:
         result = ExplorationResult(
             kernel="k",
             knowledge=KnowledgeBase(),
-            samples=[],
             explored_points=32,
             space_size=128,
         )

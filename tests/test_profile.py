@@ -645,34 +645,37 @@ class TestProfileCli:
 
 class TestAcceptance:
     def test_suite_sweep_whatif_ranks_truth_evaluation(self):
-        """The seeded suite_sweep what-if must rank the machine-model
-        truth evaluation among its top-3 causal targets, and the 50%
-        prediction must match a physical replay with those durations
+        """The seeded suite_sweep what-if must rank the dominant layer,
+        COBAYN prediction, first and the machine-model truth evaluation
+        among its top-5 causal targets (behind predict, ``stage:*`` and
+        ``cobayn.iterative``, level with ``cobayn.train``); for both, the
+        50% prediction must match a physical replay with those durations
         actually halved to within 5%."""
         from repro.bench import run_scenario
 
         result = run_scenario("suite_sweep", repeats=1)
         roots = build_tree(result.spans)
         report = whatif(roots)
-        top3 = [row.target for row in report.rows[:3]]
+        targets = [row.target for row in report.rows]
+        assert targets[0] == "cobayn.predict", f"top-5: {targets[:5]}"
         truth_evaluation = {"engine.evaluate", "backend.run_truths", "truth:*"}
-        ranked = truth_evaluation & set(top3)
-        assert ranked, f"no truth-evaluation target in top-3: {top3}"
+        ranked = [target for target in targets[:5] if target in truth_evaluation]
+        assert ranked, f"no truth-evaluation target in top-5: {targets[:5]}"
 
-        target_label = sorted(ranked)[0]
-        row = next(row for row in report.rows if row.target == target_label)
-        predicted = row.outcome_at(0.50).end_to_end_s
-        if target_label.endswith(":*"):
-            prefix = target_label[:-1]
-            matched = [
-                node
-                for node in _walk(roots)
-                if node.name.startswith(prefix)
-            ]
-        else:
-            matched = [
-                node for node in _walk(roots) if node.name == target_label
-            ]
-        factors = {node.span_id: 0.5 for node in matched}
-        actual = _end_to_end(rescale_tree(roots, factors))
-        assert abs(predicted - actual) / actual < 0.05
+        for target_label in (targets[0], ranked[0]):
+            row = report.rows[targets.index(target_label)]
+            predicted = row.outcome_at(0.50).end_to_end_s
+            if target_label.endswith(":*"):
+                prefix = target_label[:-1]
+                matched = [
+                    node
+                    for node in _walk(roots)
+                    if node.name.startswith(prefix)
+                ]
+            else:
+                matched = [
+                    node for node in _walk(roots) if node.name == target_label
+                ]
+            factors = {node.span_id: 0.5 for node in matched}
+            actual = _end_to_end(rescale_tree(roots, factors))
+            assert abs(predicted - actual) / actual < 0.05, target_label

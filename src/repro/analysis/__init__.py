@@ -16,14 +16,9 @@ provides:
   0/2/3 exit-code contract (:mod:`repro.analysis.diagnostics`);
 * the checker front end (:mod:`repro.analysis.checker`) with
   ``#pragma socrates suppress(RULE, ...)`` support;
-* the **interprocedural layer** — an interval/value-range abstract
-  interpreter (:mod:`repro.analysis.intervals`), call-graph
-  construction with bottom-up function summaries
-  (:mod:`repro.analysis.interproc`), the flag-safety rule family
-  ``FPS201``-``FPS204`` (:mod:`repro.analysis.flagsafety`), and the
-  static cost oracle + lattice :class:`PrunePlan`
-  (:mod:`repro.analysis.cost`) that lets the DSE skip
-  statically-dominated points without changing its Pareto fronts.
+* the **flag-safety rule family** ``FPS201``-``FPS204``
+  (:mod:`repro.analysis.flagsafety`), with call-graph construction
+  (:mod:`repro.analysis.interproc`) for the interprocedural rules.
 
 The toolflow runs :func:`verify_weave` as a post-weave gate; the
 ``socrates check`` CLI lints pristine and woven Polybench sources.
@@ -39,15 +34,6 @@ from repro.analysis.checker import (
     collect_suppressions,
     parse_suppress_pragma,
 )
-from repro.analysis.cost import (
-    KernelCostReport,
-    PrunePlan,
-    PrunedPoint,
-    RooflinePredictor,
-    build_prune_plan,
-    cross_validate,
-    kernel_cost_report,
-)
 from repro.analysis.diagnostics import (
     EXIT_CLEAN,
     EXIT_ERRORS,
@@ -61,18 +47,7 @@ from repro.analysis.flagsafety import (
     check_unit_flag_safety,
     flag_safety_verdict,
 )
-from repro.analysis.interproc import (
-    CallGraph,
-    FunctionSummary,
-    build_call_graph,
-    summarize_unit,
-)
-from repro.analysis.intervals import (
-    Interval,
-    analyze_function,
-    array_footprints,
-    eval_interval,
-)
+from repro.analysis.interproc import CallGraph, build_call_graph
 from repro.analysis.races import (
     check_function_races,
     check_region_races,
@@ -89,20 +64,11 @@ __all__ = [
     "EXIT_ERRORS",
     "EXIT_WARNINGS",
     "FlagSafetyVerdict",
-    "FunctionSummary",
-    "Interval",
-    "KernelCostReport",
-    "PrunePlan",
-    "PrunedPoint",
     "RULES",
-    "RooflinePredictor",
     "Rule",
     "Severity",
-    "analyze_function",
     "apply_suppressions",
-    "array_footprints",
     "build_call_graph",
-    "build_prune_plan",
     "check_app",
     "check_apps",
     "check_function_races",
@@ -112,11 +78,7 @@ __all__ = [
     "check_unit_flag_safety",
     "check_unit_races",
     "collect_suppressions",
-    "cross_validate",
-    "eval_interval",
     "flag_safety_verdict",
-    "kernel_cost_report",
     "parse_suppress_pragma",
-    "summarize_unit",
     "verify_weave",
 ]

@@ -17,9 +17,8 @@ unsafe or pointless, per kernel:
   the :class:`~repro.analysis.interproc.CallGraph`).
 
 Besides diagnostics, the module renders a :class:`FlagSafetyVerdict`
-per unit — the machine-readable half consumed by
-:func:`repro.analysis.cost.build_prune_plan` and the COBAYN corpus
-builder to exclude unsafe/pointless flag configurations.
+per unit: the machine-readable list of unsafe and pointless flags,
+which :func:`unsafe_config_labels` maps to flag configurations.
 """
 
 from __future__ import annotations

@@ -11,9 +11,7 @@ Three families:
   shapes that make aggressive compiler-flag versions unsafe
   (fast-math reassociation of FP reductions, reordering of
   alias-dependent loops) or pointless (no-inline in call-dense
-  regions).  These verdicts also feed the static
-  :class:`~repro.analysis.cost.PrunePlan` that masks lattice points
-  before the DSE runs.
+  regions).
 
 The catalogue is what ``docs/static_analysis.md`` documents and what
 the SARIF export embeds as the driver's rule metadata.

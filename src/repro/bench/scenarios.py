@@ -178,72 +178,6 @@ def _run_dse_exploration(obs: Observability) -> Dict[str, object]:
 
 
 @register(
-    "dse_exploration_pruned",
-    "statically pruned vs full DSE of syr2k: bit-identical fronts, "
-    "fewer engine evaluations",
-)
-def _run_dse_exploration_pruned(obs: Observability) -> Dict[str, object]:
-    from repro.analysis.cost import build_prune_plan
-    from repro.dse.explorer import DesignSpace, DesignSpaceExplorer
-    from repro.dse.pareto import pareto_front
-    from repro.engine.core import EvaluationEngine
-    from repro.gcc.flags import standard_levels
-    from repro.polybench.suite import load
-
-    app = load("syr2k")
-    space = DesignSpace(
-        compiler_configs=standard_levels(), thread_counts=list(range(1, 33))
-    )
-    objectives = [("throughput", True), ("power", False)]
-
-    # each leg gets a fresh engine: the noise stream is positional, so
-    # a shared engine would hand the second leg different draws
-    def leg(plan):
-        engine = EvaluationEngine(obs=obs)
-        explorer = DesignSpaceExplorer(
-            engine.compiler,
-            engine.executor,
-            engine.omp,
-            repetitions=3,
-            engine=engine,
-        )
-        profile = engine.profile(app)
-        result = explorer.explore(profile, space, prune_plan=plan)
-        return engine, profile, result, pareto_front(result.knowledge, objectives)
-
-    full_engine, profile, full, full_front = leg(None)
-    plan = build_prune_plan(
-        app, space, machine=full_engine.machine, profile=profile
-    )
-    pruned_engine, _, pruned, pruned_front = leg(plan)
-
-    def keys(front):
-        return [
-            (
-                tuple(sorted(op.knobs.items())),
-                tuple(
-                    (name, stats.mean, stats.std)
-                    for name, stats in sorted(op.metrics.items())
-                ),
-            )
-            for op in front
-        ]
-
-    counters = pruned_engine.counters
-    audit_records = len(obs.audit.prunes) if obs.audit is not None else 0
-    return {
-        "space_size": full.space_size,
-        "full_points_evaluated": full_engine.counters.points_evaluated,
-        "points_masked": counters.points_masked,
-        "pruned_points": pruned.pruned_points,
-        "points_evaluated": counters.points_evaluated,
-        "fronts_identical": keys(full_front) == keys(pruned_front),
-        "front_size": len(pruned_front),
-        "audit_records": audit_records,
-    }
-
-
-@register(
     "cobayn_corpus",
     "iterative-compilation training corpus over the whole suite",
 )

@@ -51,18 +51,9 @@ class LoopInfo:
             return step.lhs.name
         return None
 
-    def bounds(
-        self,
-        env: Optional[Dict[str, int]] = None,
-        facts: Optional[Dict[str, int]] = None,
-    ) -> Optional[Tuple[int, int]]:
-        """(init value, condition bound) of the loop when evaluable.
-
-        ``facts`` supplies locally-constant variable values (from the
-        interval analysis in :mod:`repro.analysis.intervals`); they
-        shadow ``env`` the way locals shadow macro aliases.
-        """
-        env = _merge_env(env, facts)
+    def bounds(self, env: Optional[Dict[str, int]] = None) -> Optional[Tuple[int, int]]:
+        """(init value, condition bound) of the loop when evaluable."""
+        env = env or {}
         lower = _init_value(self.node.init, env)
         cond = self.node.cond
         if lower is None or not isinstance(cond, ast.BinOp):
@@ -72,34 +63,23 @@ class LoopInfo:
             return None
         return lower, upper
 
-    def midpoint(
-        self,
-        env: Optional[Dict[str, int]] = None,
-        facts: Optional[Dict[str, int]] = None,
-    ) -> Optional[int]:
+    def midpoint(self, env: Optional[Dict[str, int]] = None) -> Optional[int]:
         """Average value of the induction variable over the loop range."""
-        bounds = self.bounds(env, facts)
+        bounds = self.bounds(env)
         if bounds is None:
             return None
         return (bounds[0] + bounds[1]) // 2
 
-    def trip_count(
-        self,
-        env: Optional[Dict[str, int]] = None,
-        facts: Optional[Dict[str, int]] = None,
-    ) -> Optional[int]:
+    def trip_count(self, env: Optional[Dict[str, int]] = None) -> Optional[int]:
         """Evaluate the loop trip count under macro environment ``env``.
 
         Handles the canonical Polybench shape ``for (i = L; i < U; i++)``
         (also ``<=``/``>``/``>=``, non-unit additive steps and the
-        ``i = i + c`` step form).  ``facts`` supplies locally-constant
-        variable values discovered by the interval analysis, so bounds
-        held in variables (``int n = 4000; for (i = 0; i < n; i++)``)
-        resolve without being macros.  Returns ``None`` when the bounds
-        are not statically evaluable or the step runs away from the
-        bound (a non-terminating loop under C semantics).
+        ``i = i + c`` step form).  Returns ``None`` when the bounds are
+        not statically evaluable or the step runs away from the bound
+        (a non-terminating loop under C semantics).
         """
-        env = _merge_env(env, facts)
+        env = env or {}
         lower = _init_value(self.node.init, env)
         cond = self.node.cond
         if lower is None or not isinstance(cond, ast.BinOp):
@@ -124,17 +104,6 @@ class LoopInfo:
         if span <= 0:
             return 0
         return (span + step - 1) // step
-
-
-def _merge_env(
-    env: Optional[Dict[str, int]], facts: Optional[Dict[str, int]]
-) -> Dict[str, int]:
-    """Macro environment overlaid with locally-constant facts."""
-    if not facts:
-        return env or {}
-    merged = dict(env or {})
-    merged.update(facts)
-    return merged
 
 
 def _init_value(init: Optional[ast.Stmt], env: Dict[str, int]) -> Optional[int]:

@@ -142,8 +142,8 @@ def _standard_space(machine):
 
 
 def _pareto_keys(front):
-    """Canonical (knobs, metrics) form of a Pareto front for equality
-    checks — bit-exact means/stds, stable ordering."""
+    """Canonical (knobs, metrics) JSON form of a Pareto front:
+    bit-exact means/stds, stable ordering."""
     return [
         {
             "knobs": dict(op.knobs),
@@ -445,8 +445,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     ``--all`` covers the whole suite; ``--source FILE`` lints an
     arbitrary C file (race + flag-safety rules only).
     ``--json``/``--sarif`` emit a machine-readable document, to stdout
-    or ``--out FILE``.  ``--prune-plan FILE`` (single app) compiles
-    the static verdicts into a lattice prune plan for ``socrates dse``.
+    or ``--out FILE``.
     """
     import json
 
@@ -455,9 +454,6 @@ def cmd_check(args: argparse.Namespace) -> int:
     include_woven = not args.pristine_only
     obs = _make_obs(args)
     if args.source:
-        if getattr(args, "prune_plan", None):
-            print("error: --prune-plan needs a benchmark app", file=sys.stderr)
-            return 2
         with open(args.source) as handle:
             text = handle.read()
         report = CheckReport()
@@ -467,12 +463,6 @@ def cmd_check(args: argparse.Namespace) -> int:
             from repro.polybench.suite import all_apps
 
             apps = all_apps()
-            if getattr(args, "prune_plan", None):
-                print(
-                    "error: --prune-plan needs a single benchmark, not --all",
-                    file=sys.stderr,
-                )
-                return 2
         else:
             apps = [_load_app(args.app)]
         report = CheckReport()
@@ -502,20 +492,6 @@ def cmd_check(args: argparse.Namespace) -> int:
                                 phase=diag.phase,
                             )
                         )
-        if getattr(args, "prune_plan", None):
-            from repro.analysis.cost import build_prune_plan
-            from repro.machine.registry import resolve_machine
-
-            machine = resolve_machine(getattr(args, "machine", None))
-            plan = build_prune_plan(apps[0], _standard_space(machine))
-            with open(args.prune_plan, "w") as handle:
-                json.dump(plan.as_dict(), handle, indent=2, sort_keys=True)
-                handle.write("\n")
-            print(
-                f"Wrote prune plan to {args.prune_plan}: "
-                f"{plan.masked_count}/{plan.space_size} points masked "
-                f"({plan.masked_fraction():.0%}), trusted={plan.trusted}"
-            )
     else:
         print(
             "error: name a benchmark, or use --all / --source FILE",
@@ -545,102 +521,46 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_dse(args: argparse.Namespace) -> int:
-    """Run one design-space exploration, optionally statically pruned.
-
-    ``socrates dse 2mm --prune`` builds the static prune plan (cost
-    oracle + flag safety) and explores only the unmasked lattice;
-    ``--prune-plan FILE`` loads a plan written by ``socrates check``.
-    ``--verify-front`` additionally runs the *unpruned* exploration in
-    a fresh engine and fails (exit 1) unless both seeded Pareto fronts
-    are bit-identical — the soundness gate CI runs.
-    """
+    """Run one seeded design-space exploration over the standard lattice
+    and report its (throughput, power) Pareto front."""
     import json
 
     from repro.dse.explorer import DesignSpaceExplorer
     from repro.dse.pareto import pareto_front
     from repro.engine.core import EvaluationEngine
-    from repro.obs import Observability
 
     app = _load_app(args.app)
-    machine = getattr(args, "machine", None)
-
-    def explore(plan):
-        obs = Observability()
-        engine = EvaluationEngine(machine=machine, obs=obs)
-        explorer = DesignSpaceExplorer(
-            engine.compiler,
-            engine.executor,
-            engine.omp,
-            repetitions=args.repetitions,
-            engine=engine,
-        )
-        profile = engine.profile(app)
-        space = _standard_space(engine.machine)
-        result = explorer.explore(
-            profile, space, seed=args.seed, prune_plan=plan
-        )
-        front = pareto_front(
-            result.knowledge, [("throughput", True), ("power", False)]
-        )
-        return engine, result, front, obs
-
-    plan = None
-    if getattr(args, "prune_plan", None):
-        from repro.analysis.cost import PrunePlan
-
-        with open(args.prune_plan) as handle:
-            plan = PrunePlan.from_dict(json.load(handle))
-        if plan.app != app.name:
-            print(
-                f"error: prune plan is for {plan.app!r}, not {app.name!r}",
-                file=sys.stderr,
-            )
-            return 2
-    elif args.prune:
-        from repro.analysis.cost import build_prune_plan
-        from repro.machine.registry import resolve_machine
-
-        resolved = resolve_machine(machine)
-        plan = build_prune_plan(app, _standard_space(resolved), machine=resolved)
-
-    engine, result, front, obs = explore(plan)
+    obs = _make_obs(args)
+    engine = EvaluationEngine(machine=getattr(args, "machine", None), obs=obs)
+    explorer = DesignSpaceExplorer(
+        engine.compiler,
+        engine.executor,
+        engine.omp,
+        repetitions=args.repetitions,
+        engine=engine,
+    )
+    profile = engine.profile(app)
+    result = explorer.explore(profile, _standard_space(engine.machine), seed=args.seed)
+    front = pareto_front(result.knowledge, [("throughput", True), ("power", False)])
     counters = engine.counters
-    fronts_identical = None
-    if args.verify_front:
-        _, baseline_result, baseline_front, _ = explore(None)
-        fronts_identical = _pareto_keys(front) == _pareto_keys(baseline_front)
-
     document = {
         "app": app.name,
         "seed": args.seed,
         "repetitions": args.repetitions,
         "space_size": result.space_size,
         "points_evaluated": counters.points_evaluated,
-        "points_masked": counters.points_masked,
-        "pruned_points": result.pruned_points,
-        "prune_audit_records": len(obs.audit.prunes) if obs.audit is not None else 0,
         "front_size": len(front),
         "front": _pareto_keys(front),
-        "pruned": plan is not None,
-        "fronts_identical": fronts_identical,
     }
-    _write_obs_artifacts(obs, args)
+    if obs is not None:
+        _write_obs_artifacts(obs, args)
     if args.json:
         print(json.dumps(document, indent=2, sort_keys=True))
     else:
         print(
             f"dse {app.name}: {counters.points_evaluated} evaluated, "
-            f"{counters.points_masked} masked "
-            f"({result.pruned_points}/{result.space_size} statically pruned), "
             f"front size {len(front)}"
         )
-        if fronts_identical is not None:
-            print(
-                "pruned and unpruned Pareto fronts are "
-                + ("bit-identical" if fronts_identical else "DIFFERENT")
-            )
-    if fronts_identical is False:
-        return 1
     return 0
 
 
@@ -1706,12 +1626,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out", help="write the JSON/SARIF document to this file")
     p.add_argument(
-        "--prune-plan",
-        metavar="FILE",
-        help="also build the static lattice prune plan and write it as JSON",
-    )
-    _add_machine_argument(p)
-    p.add_argument(
         "--trace-out",
         help="write analysis spans as Chrome trace_event JSON",
     )
@@ -1727,35 +1641,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subparsers.add_parser(
         "dse",
-        help="one seeded design-space exploration, optionally statically pruned",
+        help="one seeded design-space exploration and its Pareto front",
     )
     _add_app_argument(p)
     _add_machine_argument(p)
-    p.add_argument(
-        "--prune",
-        action="store_true",
-        help="build the static prune plan and skip masked lattice points",
-    )
-    p.add_argument(
-        "--prune-plan",
-        metavar="FILE",
-        help="load a prune plan written by `socrates check --prune-plan`",
-    )
     p.add_argument("--seed", type=lambda s: int(s, 0), default=0xD5E)
     p.add_argument("--repetitions", type=int, default=3)
-    p.add_argument(
-        "--verify-front",
-        action="store_true",
-        help="also run unpruned and fail unless both Pareto fronts are bit-identical",
-    )
     p.add_argument("--json", action="store_true", help="emit a JSON document")
     p.add_argument(
         "--trace-out",
         help="write engine/DSE spans as Chrome trace_event JSON",
-    )
-    p.add_argument(
-        "--audit-out",
-        help="write the audit log (one record per pruned point) as JSONL",
     )
     p.add_argument(
         "--metrics-out",
@@ -2176,6 +2071,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except Exception:
             pass
         return 0
+    except OSError as error:
+        # an unreadable input or unwritable output path
+        reason = error.strerror or str(error)
+        where = f"{error.filename}: " if error.filename is not None else ""
+        print(f"error: {where}{reason}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

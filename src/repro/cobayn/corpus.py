@@ -131,7 +131,6 @@ def build_corpus(
     omp: OpenMPRuntime,
     good_fraction: float = 0.1,
     engine: Optional[EvaluationEngine] = None,
-    plans: Optional[Mapping[str, "object"]] = None,
 ) -> TrainingCorpus:
     """Run iterative compilation for every app and keep the best combos.
 
@@ -139,39 +138,24 @@ def build_corpus(
     labelled positive per kernel.  ``engine`` shares the profile and
     compile caches with the rest of a toolflow build; when omitted a
     private engine wraps the given components.
-
-    ``plans`` (app name → :class:`repro.analysis.cost.PrunePlan`) is
-    **opt-in**: when an app has a plan, configurations the flag-safety
-    verdict rules out (e.g. fast-math versions of a reduction kernel)
-    are skipped — they are never among the *fastest* candidates the
-    corpus keeps, but skipping them changes the evaluated space, so
-    committed corpora must be rebuilt deliberately, never implicitly.
     """
     if not 0.0 < good_fraction <= 1.0:
         raise ValueError("good_fraction must be in (0, 1]")
     engine = engine or EvaluationEngine(compiler=compiler, executor=executor, omp=omp)
     tracer = engine.obs.tracer
     space = cobayn_space()
+    points = reference_points(space, max_threads=engine.machine.logical_cpus)
     corpus = TrainingCorpus()
     for app in apps:
-        app_space = list(space)
-        plan = plans.get(app.name) if plans else None
-        if plan is not None:
-            excluded = set(plan.excluded_config_labels(space))
-            if excluded:
-                app_space = [c for c in space if c.label not in excluded]
-        points = reference_points(
-            app_space, max_threads=engine.machine.logical_cpus
-        )
         with tracer.span("cobayn.iterative", app=app.name, configs=len(points)):
             profile = engine.profile(app)
             features = engine.features(app)
             samples = engine.evaluate(profile, points, repetitions=1, noisy=False)
         timings = [
-            (config, sample.times[0]) for config, sample in zip(app_space, samples)
+            (config, sample.times[0]) for config, sample in zip(space, samples)
         ]
         timings.sort(key=lambda item: item[1])
-        keep = max(4, int(round(len(app_space) * good_fraction)))
+        keep = max(4, int(round(len(space) * good_fraction)))
         good = [config for config, _ in timings[:keep]]
         corpus.examples.append(
             KernelExamples(

@@ -63,7 +63,6 @@ class ExplorationResult:
     knowledge: KnowledgeBase
     explored_points: int
     space_size: int
-    pruned_points: int = 0
 
     @property
     def coverage(self) -> float:
@@ -103,26 +102,11 @@ class DesignSpaceExplorer:
         space: DesignSpace,
         strategy: Optional[SamplingStrategy] = None,
         seed: int = 0xD5E,
-        prune_plan=None,
     ) -> ExplorationResult:
-        """Profile ``profile`` over ``space`` and build the knowledge base.
-
-        ``prune_plan`` (a :class:`repro.analysis.cost.PrunePlan`) masks
-        statically-dominated points: they keep their position in the
-        noise stream — so surviving samples are bit-identical to an
-        unpruned run — but are never compiled or measured.  Each
-        masked point leaves one audit record in the engine's
-        observability log.
-        """
+        """Profile ``profile`` over ``space`` and build the knowledge base."""
         strategy = strategy or FullFactorialStrategy()
         rng = np.random.default_rng(seed)
         selected = strategy.select(space.points(), rng)
-        mask = None
-        pruned = 0
-        if prune_plan is not None:
-            mask = [prune_plan.is_masked(point) for point in selected]
-            pruned = sum(mask)
-            self._record_prunes(profile, selected, mask, prune_plan)
         tracer = self._engine.obs.tracer
         with tracer.span(
             "dse.explore",
@@ -130,11 +114,10 @@ class DesignSpaceExplorer:
             strategy=type(strategy).__name__,
             space_size=space.size,
             selected=len(selected),
-            pruned=pruned,
             repetitions=self._repetitions,
         ):
             samples = self._engine.evaluate(
-                profile, selected, repetitions=self._repetitions, mask=mask
+                profile, selected, repetitions=self._repetitions
             )
             knowledge = KnowledgeBase()
             for sample in samples:
@@ -142,34 +125,9 @@ class DesignSpaceExplorer:
         return ExplorationResult(
             kernel=profile.kernel,
             knowledge=knowledge,
-            explored_points=len(selected) - pruned,
+            explored_points=len(selected),
             space_size=space.size,
-            pruned_points=pruned,
         )
-
-    def _record_prunes(self, profile, selected, mask, plan) -> None:
-        """One audit record per masked point."""
-        from repro.analysis.cost import point_key
-        from repro.obs.audit import PruneTrace
-
-        audit = self._engine.obs.audit
-        if audit is None:  # observability disabled: nothing to record to
-            return
-        for point, masked in zip(selected, mask):
-            if not masked:
-                continue
-            record = plan.masked[point_key(point)]
-            audit.record_prune(
-                PruneTrace(
-                    kernel=profile.kernel,
-                    point=record.key,
-                    rule="COST001",
-                    reason=record.reason,
-                    dominated_by=record.dominated_by,
-                    predicted_time_s=record.predicted_time_s,
-                    predicted_power_w=record.predicted_power_w,
-                )
-            )
 
     # -- internals ----------------------------------------------------------
 

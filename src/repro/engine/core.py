@@ -58,7 +58,6 @@ class EngineCounters:
     truth_hits: int
     truth_misses: int
     points_evaluated: int
-    points_masked: int = 0
 
 
 class EvaluationEngine:
@@ -102,10 +101,6 @@ class EvaluationEngine:
             boundaries=DEFAULT_SIZE_BUCKETS,
             help="points per evaluate() batch",
         )
-        self._metric_masked = metrics.counter(
-            "socrates_engine_points_masked_total",
-            help="design points skipped by a static prune mask",
-        )
         self._compile_cache = CompileCache(self._compiler)
         self._profile_cache = ProfileCache()
         # model truths are pure functions of (kernel, placement): cache
@@ -117,7 +112,6 @@ class EvaluationEngine:
         self._truth_hits = 0
         self._truth_misses = 0
         self._points_evaluated = 0
-        self._points_masked = 0
 
     # -- shared components ---------------------------------------------------
 
@@ -187,7 +181,6 @@ class EvaluationEngine:
         points: Sequence[DesignPoint],
         repetitions: int = 1,
         noisy: bool = True,
-        mask: Optional[Sequence[bool]] = None,
     ) -> List[ProfiledSample]:
         """Measure ``points``, ``repetitions`` times each.
 
@@ -197,19 +190,9 @@ class EvaluationEngine:
         compute the noise-free truths.  ``noisy=False`` skips the
         noise draws entirely (iterative-compilation mode) and leaves
         the executor's stream untouched.
-
-        ``mask`` (aligned with ``points``; True = skip) implements
-        static pruning: masked points still consume their noise draws
-        — keeping every surviving sample bit-identical to an unmasked
-        run — but pay no compilation, no model evaluation, and return
-        no sample.  Only unmasked points count as evaluated.
         """
         if repetitions < 1:
             raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-        if mask is not None and len(mask) != len(points):
-            raise ValueError(
-                f"mask length {len(mask)} != points length {len(points)}"
-            )
         with self._obs.tracer.span(
             "engine.evaluate",
             kernel=profile.kernel,
@@ -218,7 +201,7 @@ class EvaluationEngine:
             noisy=noisy,
             backend=self._backend.name,
         ):
-            return self._evaluate(profile, points, repetitions, noisy, mask)
+            return self._evaluate(profile, points, repetitions, noisy)
 
     def _evaluate(
         self,
@@ -226,14 +209,9 @@ class EvaluationEngine:
         points: Sequence[DesignPoint],
         repetitions: int,
         noisy: bool,
-        mask: Optional[Sequence[bool]] = None,
     ) -> List[ProfiledSample]:
-        if mask is None:
-            mask = [False] * len(points)
         kernels: Dict[str, CompiledKernel] = {}
-        for point, masked in zip(points, mask):
-            if masked:
-                continue
+        for point in points:
             label = point.compiler.label
             if label not in kernels:
                 kernels[label] = self.compile(profile, point.compiler)
@@ -241,14 +219,12 @@ class EvaluationEngine:
         # (point-major, repetition-minor, time then power) matches the
         # historical interleaved run() loop, keeping the stream state
         # bit-identical while paying only one model evaluation per point.
-        # Masked points draw too — the stream position of every
-        # surviving point must not depend on what was pruned.
         factor_blocks = (
             [self._executor.noise_factors(repetitions) for _ in points]
             if noisy
             else None
         )
-        point_keys: List[Optional[TruthKey]] = [
+        point_keys: List[TruthKey] = [
             (
                 profile.name,
                 profile.kernel,
@@ -257,14 +233,10 @@ class EvaluationEngine:
                 point.binding.value,
                 point.cluster,
             )
-            if not masked
-            else None
-            for point, masked in zip(points, mask)
+            for point in points
         ]
         missing: Dict[TruthKey, WorkItem] = {}
         for point, key in zip(points, point_keys):
-            if key is None:
-                continue
             if key not in self._truth_cache and key not in missing:
                 missing[key] = (
                     kernels[point.compiler.label],
@@ -286,19 +258,14 @@ class EvaluationEngine:
             for key, truth in zip(missing, computed):
                 self._truth_cache[key] = len(self._truths)
                 self._truths.extend(truth)
-        surviving = sum(1 for key in point_keys if key is not None)
-        masked_count = len(points) - surviving
         self._truth_misses += len(missing)
-        self._truth_hits += surviving - len(missing)
+        self._truth_hits += len(points) - len(missing)
         self._metric_truth_misses.inc(len(missing))
-        self._metric_truth_hits.inc(surviving - len(missing))
+        self._metric_truth_hits.inc(len(points) - len(missing))
         self._metric_batch.observe(len(points))
         samples: List[ProfiledSample] = []
         for index, point in enumerate(points):
-            key = point_keys[index]
-            if key is None:
-                continue
-            offset = self._truth_cache[key]
+            offset = self._truth_cache[point_keys[index]]
             time_truth, power_truth = self._truths[offset], self._truths[offset + 1]
             if factor_blocks is not None:
                 block = factor_blocks[index]
@@ -308,11 +275,8 @@ class EvaluationEngine:
                 times = [time_truth] * repetitions
                 powers = [power_truth] * repetitions
             samples.append(ProfiledSample(point=point, times=times, powers=powers))
-        self._points_evaluated += surviving
-        self._points_masked += masked_count
-        self._metric_points.inc(surviving)
-        if masked_count:
-            self._metric_masked.inc(masked_count)
+        self._points_evaluated += len(points)
+        self._metric_points.inc(len(points))
         return samples
 
     # -- accounting -------------------------------------------------------------
@@ -327,7 +291,6 @@ class EvaluationEngine:
             truth_hits=self._truth_hits,
             truth_misses=self._truth_misses,
             points_evaluated=self._points_evaluated,
-            points_masked=self._points_masked,
         )
 
     def stats(self) -> Dict[str, object]:
@@ -345,5 +308,4 @@ class EvaluationEngine:
                 "entries": len(self._truth_cache),
             },
             "points_evaluated": self._points_evaluated,
-            "points_masked": self._points_masked,
         }

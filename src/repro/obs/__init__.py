@@ -46,7 +46,6 @@ from repro.obs.audit import (
     CandidateTrace,
     CheckTrace,
     ConstraintTrace,
-    PruneTrace,
     SloTrace,
     compose_reason,
     describe_rank,
@@ -120,7 +119,6 @@ __all__ = [
     "attribute_record",
     "FlameProfile",
     "ProfileNode",
-    "PruneTrace",
     "StackDiff",
     "WhatIfReport",
     "attribute_energy",

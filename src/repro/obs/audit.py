@@ -111,37 +111,6 @@ class SloTrace:
         }
 
 
-@dataclass(frozen=True)
-class PruneTrace:
-    """One lattice point skipped by a static :class:`PrunePlan`.
-
-    Like :class:`CheckTrace`, kept separate from the adaptation
-    entries so the adaptation JSONL schema and its validators are
-    unaffected.  One trace per masked point makes every saved
-    evaluation auditable: which rule masked it, which point it was
-    predicted to be dominated by, and at what predicted cost.
-    """
-
-    kernel: str
-    point: str
-    rule: str
-    reason: str
-    dominated_by: str
-    predicted_time_s: float
-    predicted_power_w: float
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "kernel": self.kernel,
-            "point": self.point,
-            "rule": self.rule,
-            "reason": self.reason,
-            "dominated_by": self.dominated_by,
-            "predicted_time_s": self.predicted_time_s,
-            "predicted_power_w": self.predicted_power_w,
-        }
-
-
 @dataclass
 class AdaptationEntry:
     """One explained operating-point switch."""
@@ -239,7 +208,6 @@ class AdaptationAuditLog:
         self._entries: List[AdaptationEntry] = []
         self._checks: List[CheckTrace] = []
         self._slos: List[SloTrace] = []
-        self._prunes: List[PruneTrace] = []
 
     @property
     def max_candidates(self) -> int:
@@ -281,19 +249,6 @@ class AdaptationAuditLog:
 
     def checks_as_dicts(self) -> List[Dict[str, object]]:
         return [trace.as_dict() for trace in self._checks]
-
-    # -- static prune traces ----------------------------------------------------
-
-    @property
-    def prunes(self) -> List[PruneTrace]:
-        return list(self._prunes)
-
-    def record_prune(self, trace: PruneTrace) -> PruneTrace:
-        self._prunes.append(trace)
-        return trace
-
-    def prunes_as_dicts(self) -> List[Dict[str, object]]:
-        return [trace.as_dict() for trace in self._prunes]
 
     # -- energy SLO traces ------------------------------------------------------
 

@@ -180,8 +180,7 @@ def write_audit_jsonl(audit: AdaptationAuditLog, path: PathLike) -> int:
     """Write the audit log as JSONL; returns the number of lines.
 
     Each line carries a ``type`` discriminator: ``adaptation`` for the
-    MAPE-K decisions, ``check`` for static-analysis diagnostics, and
-    ``prune`` for lattice points a :class:`PrunePlan` masked.
+    MAPE-K decisions and ``check`` for static-analysis diagnostics.
     """
     count = 0
     with open(path, "w") as handle:
@@ -193,9 +192,6 @@ def write_audit_jsonl(audit: AdaptationAuditLog, path: PathLike) -> int:
             count += 1
         for record in audit.checks_as_dicts():
             handle.write(json.dumps({"type": "check", **record}, sort_keys=True) + "\n")
-            count += 1
-        for record in audit.prunes_as_dicts():
-            handle.write(json.dumps({"type": "prune", **record}, sort_keys=True) + "\n")
             count += 1
     return count
 

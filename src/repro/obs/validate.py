@@ -231,7 +231,7 @@ def validate_prometheus_text(path: PathLike) -> Dict[str, object]:
 
 def validate_events_jsonl(path: PathLike) -> Dict[str, object]:
     """Validate a JSONL event stream; raise on malformed lines."""
-    known = {"span", "metric", "adaptation", "check", "prune"}
+    known = {"span", "metric", "adaptation", "check"}
     counts: Dict[str, int] = {}
     with _open_for_read(path) as handle:
         for number, line in enumerate(handle, start=1):

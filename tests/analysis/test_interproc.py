@@ -1,9 +1,6 @@
-"""Tests for call-graph construction and bottom-up function summaries."""
+"""Tests for call-graph construction and bottom-up ordering."""
 
-from repro.analysis.interproc import (
-    build_call_graph,
-    summarize_unit,
-)
+from repro.analysis.interproc import build_call_graph
 from repro.cir import parse
 
 _TWO_LEVEL = """
@@ -59,80 +56,3 @@ class TestCallGraph:
         # cycle members still appear in the order, after acyclic ones
         assert set(graph.bottom_up()) == {"f", "g", "h", "pure"}
 
-
-class TestSummaries:
-    def test_trip_weighted_counts(self):
-        unit = parse(
-            """
-            double A[100];
-            void k(void) {
-              int i;
-              for (i = 0; i < 100; i++)
-                A[i] = A[i] + 1.0;
-            }
-            """
-        )
-        summary = summarize_unit(unit)["k"]
-        assert summary.resolved
-        # one fp add per iteration; one load (rhs A[i]), one store
-        assert summary.flops == 100.0
-        assert summary.loads == 100.0
-        assert summary.stores == 100.0
-        assert summary.max_depth == 1
-
-    def test_callee_summary_expands_at_call_sites(self):
-        summaries = summarize_unit(parse(_TWO_LEVEL))
-        leaf, driver = summaries["leaf"], summaries["driver"]
-        assert leaf.resolved and driver.resolved
-        # driver runs leaf 10 times: all leaf work scales by the trip
-        assert driver.flops == 10.0 * leaf.flops
-        assert driver.loads == 10.0 * leaf.loads
-        assert driver.stores == 10.0 * leaf.stores
-        assert driver.call_sites == 10.0
-
-    def test_recursive_functions_stay_unresolved(self):
-        unit = parse("int f(int n) { return f(n - 1); }")
-        summary = summarize_unit(unit)["f"]
-        assert summary.recursive and not summary.resolved
-
-    def test_while_loops_are_unresolved(self):
-        unit = parse(
-            """
-            void k(int n) {
-              int i;
-              i = 0;
-              while (i < n)
-                i = i + 1;
-            }
-            """
-        )
-        assert not summarize_unit(unit)["k"].resolved
-
-    def test_locally_constant_bound_resolves(self):
-        unit = parse(
-            """
-            double A[50];
-            void k(void) {
-              int i;
-              int n;
-              n = 50;
-              for (i = 0; i < n; i++)
-                A[i] = 2.0 * A[i];
-            }
-            """
-        )
-        summary = summarize_unit(unit)["k"]
-        assert summary.resolved
-        assert summary.flops == 50.0
-
-    def test_call_density(self):
-        summaries = summarize_unit(parse(_TWO_LEVEL))
-        assert summaries["driver"].call_density > 0.0
-        assert summaries["leaf"].call_density == 0.0
-
-    def test_as_dict_round_trips_fields(self):
-        summary = summarize_unit(parse(_TWO_LEVEL))["leaf"]
-        data = summary.as_dict()
-        assert data["name"] == "leaf"
-        assert data["flops"] == summary.flops
-        assert data["resolved"] is True

@@ -189,15 +189,6 @@ class TestTripCount:
         assert loops[0].trip_count({"n": 10, "S": 5}) == 2
         assert loops[0].trip_count({"n": 10}) is None
 
-    def test_locally_constant_facts_resolve_bounds(self):
-        # the interval analysis hands trip_count per-loop facts for
-        # bounds held in locally-constant variables, not macros
-        loops = loops_of("void f(void) { int i; for (i = 0; i < n; i++) x = 1; }")
-        assert loops[0].trip_count() is None
-        assert loops[0].trip_count({}, {"n": 12}) == 12
-        # facts shadow env the way locals shadow macro aliases
-        assert loops[0].trip_count({"n": 6}, {"n": 12}) == 12
-
     def test_empty_init_with_step_recovers_induction(self):
         # an empty init clause no longer defeats the analysis: the
         # step expression identifies the induction variable

@@ -319,34 +319,11 @@ class TestCorpus:
         with pytest.raises(ValueError):
             build_corpus(apps[:1], compiler, executor, omp, good_fraction=0.0)
 
-    def test_prune_plans_exclude_unsafe_configs(self, compiler, executor, omp):
-        """Opt-in flag-safety pruning: with a plan whose verdict marks
-        fast-math unsafe, the corpus skips those 64 configurations."""
-        from repro.analysis.cost import build_prune_plan
-        from repro.engine.model import DesignSpace
-        from repro.gcc.flags import Flag, standard_levels
-
-        app = load("mvt")  # dot-product reductions: FPS201 fires
-        space = DesignSpace(
-            compiler_configs=standard_levels(), thread_counts=[1]
-        )
-        plan = build_prune_plan(app, space, machine=executor.machine)
-        assert "UNSAFE_MATH" in plan.flag_safety.unsafe_flags
-        corpus = build_corpus(
-            [app], compiler, executor, omp, plans={app.name: plan}
-        )
-        (example,) = corpus.examples
-        assert len(example.timings) == 64
-        assert all(
-            not config.has(Flag.UNSAFE_MATH) for config, _ in example.timings
-        )
-        assert example.good_configs
-
     def test_without_plans_the_space_is_untouched(
         self, compiler, executor, omp
     ):
         app = load("mvt")
-        corpus = build_corpus([app], compiler, executor, omp, plans=None)
+        corpus = build_corpus([app], compiler, executor, omp)
         (example,) = corpus.examples
         assert len(example.timings) == 128
 

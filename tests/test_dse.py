@@ -1,5 +1,8 @@
 """Tests for design-space exploration and Pareto filtering."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,12 +17,15 @@ from repro.dse.strategies import (
     LatinHypercubeStrategy,
     RandomStrategy,
 )
+from repro.engine.core import EvaluationEngine
 from repro.gcc.flags import FlagConfiguration, OptLevel, standard_levels
 from repro.machine.executor import MachineExecutor
 from repro.machine.openmp import BindingPolicy
 from repro.margot.knowledge import KnowledgeBase, MetricStats, OperatingPoint
-from repro.polybench.suite import load
+from repro.polybench.suite import BENCHMARK_NAMES, load
 from repro.polybench.workload import profile_kernel
+
+SEEDED_FRONTS = Path(__file__).parent / "data" / "dse_fronts.json"
 
 
 @pytest.fixture(scope="module")
@@ -247,3 +253,38 @@ class TestPareto:
                 assert not (
                     not_worse_thr and not_worse_pow and (better_thr or better_pow)
                 )
+
+
+class TestSeededFronts:
+    """The seeded full-factorial DSE (seed 0xD5E, 3 repetitions) of the
+    standard 256-point xeon lattice yields the recorded Pareto front of
+    every registry app: same knobs, bit-identical metric mean and std."""
+
+    @staticmethod
+    def _front(name):
+        engine = EvaluationEngine()
+        explorer = DesignSpaceExplorer(
+            engine.compiler, engine.executor, engine.omp, repetitions=3, engine=engine
+        )
+        space = DesignSpace(
+            compiler_configs=standard_levels(),
+            thread_counts=list(range(1, engine.machine.logical_cpus + 1)),
+        )
+        assert space.size == 256
+        result = explorer.explore(engine.profile(load(name)), space, seed=0xD5E)
+        front = pareto_front(result.knowledge, [("throughput", True), ("power", False)])
+        return [
+            {
+                "knobs": dict(op.knobs),
+                "metrics": {m: [s.mean, s.std] for m, s in op.metrics.items()},
+            }
+            for op in front
+        ]
+
+    def test_registry_is_pinned(self):
+        assert sorted(json.loads(SEEDED_FRONTS.read_text())) == sorted(BENCHMARK_NAMES)
+
+    @pytest.mark.parametrize("name", BENCHMARK_NAMES)
+    def test_matches_recorded_front(self, name):
+        expected = json.loads(SEEDED_FRONTS.read_text())[name]
+        assert self._front(name) == expected

@@ -69,11 +69,6 @@ def _toolflow(args: argparse.Namespace, obs=None):
             raise ValueError(
                 f"--threads expects comma-separated integers, got {args.threads!r}"
             ) from None
-    backend = None
-    if getattr(args, "workers", None):
-        from repro.engine import ProcessPoolBackend
-
-        backend = ProcessPoolBackend(max_workers=args.workers)
     kwargs = {}
     if getattr(args, "seed", None) is not None:
         kwargs["seed"] = args.seed
@@ -81,7 +76,6 @@ def _toolflow(args: argparse.Namespace, obs=None):
         machine=getattr(args, "machine", None),
         dse_repetitions=getattr(args, "repetitions", 3),
         thread_counts=threads,
-        backend=backend,
         obs=obs,
         **kwargs,
     )
@@ -278,7 +272,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
     result = flow.build(app)
     payload = {
         "app": app.name,
-        "backend": flow.engine.backend.name,
         **result.stage_report(),
         "engine": flow.engine.stats(),
     }
@@ -1524,11 +1517,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print per-stage telemetry (wall time, cache hits) as JSON",
     )
     p.add_argument(
-        "--workers",
-        type=int,
-        help="evaluate design points on a process pool of this size",
-    )
-    p.add_argument(
         "--trace-out",
         help="write the build's span tree as Chrome trace_event JSON",
     )
@@ -1546,11 +1534,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_machine_argument(p)
     p.add_argument("--threads", help="comma-separated thread counts for the DSE")
     p.add_argument("--repetitions", type=int, default=3)
-    p.add_argument(
-        "--workers",
-        type=int,
-        help="evaluate design points on a process pool of this size",
-    )
     p.add_argument(
         "--json",
         action="store_true",
@@ -1673,11 +1656,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--duration", type=float, default=60.0)
     p.add_argument("--threads", help="comma-separated thread counts for the DSE")
     p.add_argument("--repetitions", type=int, default=3)
-    p.add_argument(
-        "--workers",
-        type=int,
-        help="evaluate design points on a process pool of this size",
-    )
     p.set_defaults(func=cmd_obs_export)
     p = obs_sub.add_parser(
         "validate",
@@ -1723,11 +1701,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--threads", help="comma-separated thread counts for the DSE"
         )
         p.add_argument("--repetitions", type=int, default=3)
-        p.add_argument(
-            "--workers",
-            type=int,
-            help="evaluate design points on a process pool of this size",
-        )
         p.add_argument(
             "--trace",
             metavar="FILE",
@@ -1843,11 +1816,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--threads", help="comma-separated thread counts for the DSE")
         p.add_argument("--repetitions", type=int, default=3)
-        p.add_argument(
-            "--workers",
-            type=int,
-            help="evaluate design points on a process pool of this size",
-        )
 
     p = energy_sub.add_parser(
         "report",

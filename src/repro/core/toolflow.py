@@ -105,22 +105,12 @@ class SocratesToolflow:
         cobayn_k: int = 4,
         thread_counts: Optional[Sequence[int]] = None,
         seed: int = 0x50CA,
-        pareto_prune: bool = False,
         engine: Optional[EvaluationEngine] = None,
-        backend=None,
         obs: Optional[Observability] = None,
     ) -> None:
-        """``pareto_prune`` reduces the runtime knowledge base to its
-        Pareto front under (max throughput, min power) — mARGOt's usual
-        deployment mode: dominated configurations can never be the
-        answer to any monotone requirement, and a smaller OP list makes
-        every ``update()`` cheaper.
-
-        ``engine`` supplies a pre-built :class:`EvaluationEngine` whose
+        """``engine`` supplies a pre-built :class:`EvaluationEngine` whose
         compiler/executor/runtime the toolflow adopts (sharing caches
-        with other consumers); ``backend`` picks the evaluation backend
-        (e.g. :class:`~repro.engine.ProcessPoolBackend`) when the
-        toolflow builds its own engine; ``obs`` threads an
+        with other consumers); ``obs`` threads an
         :class:`~repro.obs.Observability` through every layer of the
         build (with a pre-built engine, the engine's own handle is
         adopted unless ``obs`` is given explicitly)."""
@@ -130,7 +120,6 @@ class SocratesToolflow:
             )
         if cobayn_k < 1:
             raise ValueError(f"cobayn_k must be >= 1, got {cobayn_k}")
-        self._pareto_prune = pareto_prune
         if engine is not None:
             self._engine = engine
             self._machine = engine.machine
@@ -149,7 +138,6 @@ class SocratesToolflow:
                 executor=self._executor,
                 omp=self._omp,
                 machine=self._machine,
-                backend=backend,
                 obs=self._obs,
             )
         self._dse_repetitions = dse_repetitions
@@ -201,7 +189,6 @@ class SocratesToolflow:
             "dse_repetitions": self._dse_repetitions,
             "cobayn_k": self._cobayn_k,
             "thread_counts": list(self._thread_counts),
-            "pareto_prune": self._pareto_prune,
         }
 
     # -- pipeline ----------------------------------------------------------------
@@ -374,17 +361,10 @@ class SocratesToolflow:
             self._engine, profile, configs, clusters=self._machine.cluster_pins()[0]
         )
         meter = RaplMeter(self._executor.power_model, seed=self._seed ^ 0xFF)
-        knowledge = exploration.knowledge
-        if self._pareto_prune:
-            from repro.dse.pareto import pareto_front
-
-            knowledge = pareto_front(
-                knowledge, [("throughput", True), ("power", False)]
-            )
         return AdaptiveApplication(
             name=app.name,
             versions=versions,
-            knowledge=knowledge,
+            knowledge=exploration.knowledge,
             executor=self._executor,
             omp=self._omp,
             meter=meter,

@@ -7,8 +7,7 @@ one) and stores mean/std of each EFP as an operating point.
 
 The measurements themselves run through the shared
 :class:`~repro.engine.EvaluationEngine` — compilation is memoized per
-configuration, and the engine's backend decides whether design points
-are evaluated serially or sharded across a process pool.  The
+configuration and each model truth is computed once, in-process.  The
 ``DesignPoint`` / ``DesignSpace`` / ``ProfiledSample`` types are
 re-exported from :mod:`repro.engine.model` for compatibility.
 """

@@ -8,17 +8,16 @@ design-space explorer and the COBAYN corpus builder — shares one
   ``(WorkloadProfile, FlagConfiguration.label)`` pair;
 * the **profile cache** — one parse + workload analysis per app;
 * the **batched evaluation API** — :meth:`evaluate` turns a list of
-  design points into :class:`ProfiledSample` measurements through a
-  pluggable backend (serial by default, process pool optionally);
+  design points into :class:`ProfiledSample` measurements, computing
+  each missing model truth once, in-process and in order;
 * the **counters** the telemetry layer snapshots per pipeline stage.
 
 Determinism contract: model truths are pure functions of
 ``(kernel, placement)``, and measurement noise is drawn from the
 executor's single seeded stream in canonical point order — two pairs
 per repetition, exactly as the historical per-run draws — *before*
-truths are computed.  Serial and process-pool backends therefore
-produce bit-identical samples, and both reproduce the pre-engine
-hand-rolled loops byte for byte.
+truths are computed, so samples reproduce the pre-engine hand-rolled
+loops byte for byte.
 """
 
 from __future__ import annotations
@@ -27,13 +26,12 @@ from array import array
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.engine.backends import ProcessPoolBackend, SerialBackend, WorkItem
 from repro.engine.caching import CompileCache, ProfileCache
 from repro.engine.model import DesignPoint, ProfiledSample
 from repro.gcc.compiler import CompiledKernel, Compiler
 from repro.gcc.flags import FlagConfiguration
 from repro.machine.executor import MachineExecutor
-from repro.machine.openmp import OpenMPRuntime
+from repro.machine.openmp import BindingPolicy, OpenMPRuntime, ThreadPlacement
 from repro.machine.registry import resolve_machine
 from repro.machine.topology import Machine
 from repro.milepost.features import FeatureVector
@@ -61,7 +59,7 @@ class EngineCounters:
 
 
 class EvaluationEngine:
-    """Cached, batched, backend-pluggable kernel evaluation."""
+    """Cached, batched kernel evaluation."""
 
     def __init__(
         self,
@@ -69,7 +67,6 @@ class EvaluationEngine:
         executor: Optional[MachineExecutor] = None,
         omp: Optional[OpenMPRuntime] = None,
         machine: Union[str, Machine, None] = None,
-        backend=None,
         obs: Optional[Observability] = None,
     ) -> None:
         if machine is None and executor is not None:
@@ -79,7 +76,6 @@ class EvaluationEngine:
         self._compiler = compiler or Compiler()
         self._executor = executor or MachineExecutor(machine)
         self._omp = omp or OpenMPRuntime(machine)
-        self._backend = backend or SerialBackend()
         self._obs = obs if obs is not None else NULL_OBS
         # instrument handles are resolved once; with the null registry
         # these are shared no-op sinks, so hot paths stay cheap
@@ -132,10 +128,6 @@ class EvaluationEngine:
         return self._omp
 
     @property
-    def backend(self):
-        return self._backend
-
-    @property
     def obs(self) -> Observability:
         return self._obs
 
@@ -186,9 +178,9 @@ class EvaluationEngine:
 
         Compiles each distinct configuration exactly once, draws the
         noise factors for every (point, repetition) in canonical order
-        from the executor's seeded stream, then lets the backend
-        compute the noise-free truths.  ``noisy=False`` skips the
-        noise draws entirely (iterative-compilation mode) and leaves
+        from the executor's seeded stream, then computes the noise-free
+        truths the truth cache does not hold yet.  ``noisy=False`` skips
+        the noise draws entirely (iterative-compilation mode) and leaves
         the executor's stream untouched.
         """
         if repetitions < 1:
@@ -199,7 +191,6 @@ class EvaluationEngine:
             points=len(points),
             repetitions=repetitions,
             noisy=noisy,
-            backend=self._backend.name,
         ):
             return self._evaluate(profile, points, repetitions, noisy)
 
@@ -235,26 +226,34 @@ class EvaluationEngine:
             )
             for point in points
         ]
-        missing: Dict[TruthKey, WorkItem] = {}
+        missing: Dict[TruthKey, CompiledKernel] = {}
         for point, key in zip(points, point_keys):
             if key not in self._truth_cache and key not in missing:
-                missing[key] = (
-                    kernels[point.compiler.label],
-                    point.threads,
-                    point.binding.value,
-                    point.cluster,
-                )
+                missing[key] = kernels[point.compiler.label]
         if missing:
             tracer = self._obs.tracer
-            # the tracer kwarg is only passed when tracing, so backends
-            # predating (or ignorant of) repro.obs keep working
-            extra = {"tracer": tracer} if tracer.enabled else {}
-            with tracer.span(
-                "backend.run_truths", items=len(missing), backend=self._backend.name
-            ):
-                computed = self._backend.run_truths(
-                    self._executor, self._omp, list(missing.values()), **extra
-                )
+            # one in-order pass over the missing truths; placements are
+            # memoized per batch
+            computed: List[Tuple[float, float]] = []
+            with tracer.span("backend.run_truths", items=len(missing)):
+                placements: Dict[Tuple[int, str, Optional[str]], ThreadPlacement] = {}
+                for key, kernel in missing.items():
+                    _, _, _, threads, binding, cluster = key
+                    placement = placements.get((threads, binding, cluster))
+                    if placement is None:
+                        placement = self._omp.place(
+                            threads, BindingPolicy(binding), cluster=cluster
+                        )
+                        placements[(threads, binding, cluster)] = placement
+                    if tracer.enabled:
+                        name = f"truth:{profile.kernel}@{threads}t/{binding}"
+                        if cluster is not None:
+                            name += f"/{cluster}"
+                        with tracer.span(name, compiler=kernel.config.label):
+                            result = self._executor.evaluate(kernel, placement)
+                    else:
+                        result = self._executor.evaluate(kernel, placement)
+                    computed.append((result.time_s, result.power_w))
             for key, truth in zip(missing, computed):
                 self._truth_cache[key] = len(self._truths)
                 self._truths.extend(truth)
@@ -296,7 +295,6 @@ class EvaluationEngine:
     def stats(self) -> Dict[str, object]:
         """JSON-able cache/evaluation statistics."""
         return {
-            "backend": self._backend.name,
             "compile_cache": {
                 **self._compile_cache.stats.as_dict(),
                 "entries": len(self._compile_cache),

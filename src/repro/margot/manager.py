@@ -102,9 +102,6 @@ class MargotManager:
             state=self._asrtm.active_state.name,
         )
         self._log.append(record)
-        if self._obs.enabled:
-            # keep the metrics registry's view of the monitors current
-            self._obs.absorb_monitors(self.monitors)
         return record
 
     # -- passthroughs -----------------------------------------------------------

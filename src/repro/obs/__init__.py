@@ -5,8 +5,8 @@ rest of the codebase is instrumented against:
 
 * :attr:`Observability.tracer` — hierarchical span tracing
   (:mod:`repro.obs.tracing`), threaded through the toolflow stages,
-  engine evaluations (including process-pool workers), DSE sweeps,
-  COBAYN training and the adaptive runtime's MAPE-K iterations;
+  engine evaluations, DSE sweeps, COBAYN training and the adaptive
+  runtime's MAPE-K iterations;
 * :attr:`Observability.metrics` — the counter/gauge/histogram registry
   (:mod:`repro.obs.metrics`) that absorbs the engine counters and the
   mARGOt monitor statistics;

@@ -1,7 +1,7 @@
 """`repro.obs.profile` — the causal profiling observatory.
 
-The tracer already records *where time went* (the span tree, including
-process-pool worker lanes) and the energy observatory records *where
+The tracer already records *where time went* (the span tree, on one
+track per Chrome trace thread) and the energy observatory records *where
 the joules went* (the ledger).  This module turns both into answers to
 the question an optimization effort actually asks: **what is worth
 speeding up, and what would that buy end-to-end?**  Three pillars:

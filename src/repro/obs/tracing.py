@@ -11,12 +11,9 @@ default; injectable for tests), so spans order and nest correctly but
 carry no wall-clock meaning — every exported trace is re-based to
 start at zero.
 
-Work that ran in another process (the process-pool backend's workers)
-cannot share the parent's clock.  Workers measure durations only;
-:meth:`Tracer.adopt` re-parents those measurements into the submitting
-span, laying them out on per-worker *tracks* from the parent span's
-start (see :mod:`repro.obs.export` for how tracks map to Chrome trace
-threads).
+The tracer records every span on the main *track*; a span built with
+another ``track`` exports as its own Chrome trace thread (see
+:mod:`repro.obs.export`).
 
 When observability is disabled, the :data:`NULL_TRACER` singleton
 makes every instrumentation point a no-op: ``span()`` returns a shared
@@ -125,36 +122,6 @@ class Tracer:
         if self._stack:
             self._stack[-1].attributes.update(attributes)
 
-    def adopt(
-        self,
-        name: str,
-        duration_s: float,
-        offset_s: float = 0.0,
-        track: str = MAIN_TRACK,
-        ok: bool = True,
-        **attributes: object,
-    ) -> Optional[Span]:
-        """Re-parent a remotely measured span into the current span.
-
-        The remote clock is not comparable with ours, so the span is
-        laid out at ``parent.start + offset_s`` on the given track.
-        """
-        parent = self._stack[-1] if self._stack else None
-        start = (parent.start_s if parent is not None else self._clock()) + offset_s
-        span = Span(
-            name=name,
-            span_id=self._next_id,
-            parent_id=parent.span_id if parent is not None else None,
-            start_s=start,
-            end_s=start + duration_s,
-            ok=ok,
-            track=track,
-            attributes=dict(attributes),
-        )
-        self._next_id += 1
-        self._spans.append(span)
-        return span
-
     # -- inspection -----------------------------------------------------------
 
     @property
@@ -203,9 +170,6 @@ class NullTracer(Tracer):
         return _NULL_CONTEXT
 
     def annotate(self, **attributes: object) -> None:
-        return None
-
-    def adopt(self, name, duration_s, offset_s=0.0, track=MAIN_TRACK, ok=True, **attributes):
         return None
 
     @property

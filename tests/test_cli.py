@@ -28,7 +28,7 @@ class TestParser:
             ["fig4", "--app", "mvt", "--steps", "5"],
             ["fig5", "--duration", "30"],
             ["table1"],
-            ["build", "2mm", "--stage-report", "--workers", "2"],
+            ["build", "2mm", "--stage-report", "--threads", "1,4"],
             ["stats", "2mm", "--threads", "1,4", "--repetitions", "1"],
             ["stats", "2mm", "--json"],
             ["build", "2mm", "--stage-report", "--json"],
@@ -151,16 +151,10 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "dse_repetitions must be >= 1" in err
 
-    def test_invalid_workers_reported_cleanly(self, capsys):
-        assert main(["build", "2mm", "--workers", "-1"] + FAST) == 2
-        err = capsys.readouterr().err
-        assert "max_workers" in err
-
     def test_stats(self, capsys):
         assert main(["stats", "mvt"] + FAST) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["app"] == "mvt"
-        assert payload["backend"] == "serial"
         assert payload["engine"]["compile_cache"]["misses"] > 0
         assert len(payload["stages"]) == 5
 

@@ -6,10 +6,8 @@ pin down its three contracts:
 
 * **caching** — one compilation per distinct (profile, flag label),
   one parse/profile per app, exact hit/miss accounting;
-* **determinism** — the serial backend reproduces the historical
-  hand-rolled ``run()`` loops byte for byte, and the process-pool
-  backend produces bit-identical results to the serial one for any
-  worker count;
+* **determinism** — ``evaluate`` reproduces the historical
+  hand-rolled ``run()`` loops byte for byte;
 * **telemetry** — a full toolflow build emits one stage event per
   Figure 1 stage, with counter deltas that add up.
 """
@@ -20,15 +18,12 @@ import pytest
 
 import repro.engine.caching as engine_caching
 from repro.core.toolflow import SocratesToolflow
-from repro.dse.explorer import DesignSpaceExplorer
 from repro.engine import (
     CompileCache,
     DesignPoint,
     DesignSpace,
     EvaluationEngine,
-    ProcessPoolBackend,
     ProfileCache,
-    SerialBackend,
     stage_report,
 )
 from repro.gcc.compiler import Compiler
@@ -36,16 +31,17 @@ from repro.gcc.flags import standard_levels
 from repro.machine.executor import MachineExecutor
 from repro.machine.openmp import BindingPolicy, OpenMPRuntime
 from repro.machine.topology import default_machine
+from repro.obs import Observability
 
 
-def make_engine(seed=0x50C7, backend=None):
+def make_engine(seed=0x50C7, obs=None):
     machine = default_machine()
     return EvaluationEngine(
         compiler=Compiler(),
         executor=MachineExecutor(machine, seed=seed),
         omp=OpenMPRuntime(machine),
         machine=machine,
-        backend=backend,
+        obs=obs,
     )
 
 
@@ -135,6 +131,28 @@ class TestTruthCache:
             s.times for s in warm.evaluate(warm.profile(two_mm), points, repetitions=2)
         ] != twice_cold
 
+    def test_traced_truths_one_span_per_miss(self, two_mm):
+        obs = Observability()
+        engine = make_engine(obs=obs)
+        tracer = obs.tracer
+        profile = engine.profile(two_mm)
+        points = small_space().points()
+        engine.evaluate(profile, points)
+        truths = [s for s in tracer.spans if s.name.startswith("truth:")]
+        assert len(truths) == engine.counters.truth_misses == len(points)
+        (run,) = tracer.find("backend.run_truths")
+        (evaluate,) = tracer.find("engine.evaluate")
+        assert run.parent_id == evaluate.span_id
+        labels = {point.compiler.label for point in points}
+        for span in truths:
+            assert span.parent_id == run.span_id
+            assert span.attributes["compiler"] in labels
+        # a batch of cache hits computes no truth, so it records none
+        before = len(tracer.spans)
+        engine.evaluate(profile, points)
+        added = [span.name for span in tracer.spans[before:]]
+        assert added == ["engine.evaluate"]
+
 
 class TestEvaluateSemantics:
     def test_invalid_repetitions_rejected(self, two_mm):
@@ -181,52 +199,6 @@ class TestEvaluateSemantics:
                 result = executor.run(kernel, placement)
                 assert sample.times[rep] == result.time_s
                 assert sample.powers[rep] == result.power_w
-
-
-class TestBackends:
-    def test_process_pool_matches_serial(self, two_mm):
-        """Identical seeded samples regardless of worker count."""
-        points = small_space().points()
-
-        def run(backend):
-            engine = make_engine(seed=0xD15C, backend=backend)
-            profile = engine.profile(two_mm)
-            samples = engine.evaluate(profile, points, repetitions=2)
-            return [(s.times, s.powers) for s in samples]
-
-        serial = run(SerialBackend())
-        pooled = run(ProcessPoolBackend(max_workers=2, chunksize=3))
-        assert serial == pooled
-
-    def test_explorer_knowledge_identical_across_backends(self, two_mm):
-        """Same seed → identical knowledge base, serial or pooled."""
-
-        def knowledge(backend):
-            engine = make_engine(backend=backend)
-            explorer = DesignSpaceExplorer(
-                engine.compiler,
-                engine.executor,
-                engine.omp,
-                repetitions=2,
-                engine=engine,
-            )
-            result = explorer.explore(
-                engine.profile(two_mm), small_space(), seed=0xD5E
-            )
-            return [
-                (dict(op.knobs), {k: (m.mean, m.std) for k, m in op.metrics.items()})
-                for op in result.knowledge
-            ]
-
-        assert knowledge(SerialBackend()) == knowledge(
-            ProcessPoolBackend(max_workers=3, chunksize=2)
-        )
-
-    def test_pool_parameter_validation(self):
-        with pytest.raises(ValueError, match="max_workers"):
-            ProcessPoolBackend(max_workers=-1)
-        with pytest.raises(ValueError, match="chunksize"):
-            ProcessPoolBackend(chunksize=0)
 
 
 class TestToolflowValidation:
@@ -283,7 +255,6 @@ class TestToolflowTelemetry:
 
     def test_engine_stats_shape(self, toolflow, built_2mm):
         stats = toolflow.engine.stats()
-        assert stats["backend"] == "serial"
         for section in ("compile_cache", "profile_cache", "truth_cache"):
             assert "hits" in stats[section] and "misses" in stats[section]
         assert stats["points_evaluated"] > 0

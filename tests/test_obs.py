@@ -50,7 +50,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     NULL_METRICS,
 )
-from repro.obs.tracing import Tracer
+from repro.obs.tracing import Span, Tracer
 from repro.obs.validate import (
     validate_chrome_trace,
     validate_events_jsonl,
@@ -114,15 +114,6 @@ class TestTracer:
         tracer.annotate(ignored=True)
         assert tracer.spans == []
 
-    def test_adopt_lays_out_from_parent_start(self):
-        tracer = Tracer(clock=FakeClock())
-        with tracer.span("parent") as parent:
-            adopted = tracer.adopt("worker", duration_s=0.25, offset_s=0.5, track="pool-0")
-        assert adopted.parent_id == parent.span_id
-        assert adopted.start_s == pytest.approx(parent.start_s + 0.5)
-        assert adopted.end_s == pytest.approx(parent.start_s + 0.75)
-        assert adopted.track == "pool-0"
-
     def test_find_and_clear(self):
         tracer = Tracer(clock=FakeClock())
         with tracer.span("a"):
@@ -144,7 +135,6 @@ class TestTracer:
         with NULL_TRACER.span("ignored", attr=1):
             NULL_TRACER.annotate(attr=2)
         assert NULL_TRACER.spans == []
-        assert NULL_TRACER.adopt("w", 1.0) is None
         assert NULL_TRACER.current is None
         assert NULL_TRACER.enabled is False
 
@@ -415,10 +405,15 @@ def make_spans():
     tracer = Tracer(clock=FakeClock(step=0.5))
     with tracer.span("build", app="mvt"):
         with tracer.span("stage:profile"):
-            with tracer.span("engine.evaluate", points=4):
-                tracer.adopt("truth:a", duration_s=0.2, offset_s=0.0, track="pool-0")
-                tracer.adopt("truth:b", duration_s=0.3, offset_s=0.2, track="pool-0")
-    return tracer.spans
+            with tracer.span("engine.evaluate", points=4) as evaluate:
+                pass
+    # two children of engine.evaluate on a second track
+    start = evaluate.start_s
+    lane = [
+        Span("truth:a", 4, evaluate.span_id, start, start + 0.2, track="pool-0"),
+        Span("truth:b", 5, evaluate.span_id, start + 0.2, start + 0.5, track="pool-0"),
+    ]
+    return lane + tracer.spans
 
 
 class TestExporters:

@@ -1,8 +1,10 @@
 """Slotted data classes (``repro.compat.slotted_dataclass``).
 
 Every slotted class must hold its fields in slots only, and its
-instances must survive ``pickle`` (the process-pool backend ships
-``CompiledKernel``), ``copy.deepcopy`` and ``Node.clone`` unchanged.
+instances must survive ``pickle``, ``copy.deepcopy`` and ``Node.clone``
+unchanged: ``copy.deepcopy`` of a frozen slotted class goes through the
+same ``__getstate__``/``__setstate__`` pair that ``repro.compat`` installs
+for ``pickle``.
 ``slotted_dataclass`` rebuilds the class, so no method may use zero-argument
 ``super()``.
 """

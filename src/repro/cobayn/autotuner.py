@@ -12,7 +12,7 @@ SOCRATES autotuning space.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.cobayn.bn import DiscreteBayesianNetwork, NodeSpec, learn_structure
 from repro.cobayn.corpus import TrainingCorpus, assignment_to_config, flag_assignment
@@ -89,13 +89,12 @@ class CobaynAutotuner:
 
     def predict(self, features: FeatureVector, k: int = 4) -> CobaynPrediction:
         """Rank the 128 combinations by posterior given ``features``."""
-        network = self.network
         evidence = self.discretizer.transform(features)
-        scored: List[Tuple[FlagConfiguration, float]] = []
-        for config in cobayn_space():
-            query = flag_assignment(config)
-            posterior = network.posterior(query, evidence)
-            scored.append((config, posterior))
+        space = cobayn_space()
+        posteriors = self.network.posteriors(
+            (flag_assignment(config) for config in space), evidence
+        )
+        scored = list(zip(space, posteriors))
         scored.sort(key=lambda item: (-item[1], item[0].label))
         return CobaynPrediction(kernel=features.kernel, ranked=scored)
 

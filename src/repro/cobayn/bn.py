@@ -201,16 +201,26 @@ class DiscreteBayesianNetwork:
         self, query: Mapping[str, int], evidence: Optional[Assignment] = None
     ) -> float:
         """P(query | evidence) by enumeration over hidden variables."""
+        return self.posteriors([query], evidence)[0]
+
+    def posteriors(
+        self, queries: Iterable[Mapping[str, int]], evidence: Optional[Assignment] = None
+    ) -> List[float]:
+        """P(query | evidence) of each query, in order.
+
+        The evidence marginal (the denominator) is enumerated once for
+        all queries; a query that contradicts the evidence gets 0.
+        """
         evidence = dict(evidence or {})
-        overlap = set(query) & set(evidence)
-        for node in overlap:
-            if query[node] != evidence[node]:
-                return 0.0
-        numerator = self._marginal({**evidence, **query})
         denominator = self._marginal(evidence)
-        if denominator == 0.0:
-            return 0.0
-        return numerator / denominator
+        results: List[float] = []
+        for query in queries:
+            if any(query[node] != evidence[node] for node in query if node in evidence):
+                results.append(0.0)
+                continue
+            numerator = self._marginal({**evidence, **query})
+            results.append(0.0 if denominator == 0.0 else numerator / denominator)
+        return results
 
     def _marginal(self, partial: Assignment) -> float:
         hidden = [name for name in self._nodes if name not in partial]

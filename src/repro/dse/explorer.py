@@ -15,7 +15,7 @@ re-exported from :mod:`repro.engine.model` for compatibility.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from repro.engine.model import DesignPoint, DesignSpace, ProfiledSample
 from repro.gcc.compiler import Compiler
 from repro.machine.executor import MachineExecutor
 from repro.machine.openmp import OpenMPRuntime
-from repro.margot.knowledge import KnowledgeBase, MetricStats, OperatingPoint
+from repro.margot.knowledge import KnowledgeBase
 from repro.polybench.workload import WorkloadProfile
 
 __all__ = [
@@ -118,9 +118,7 @@ class DesignSpaceExplorer:
             samples = self._engine.evaluate(
                 profile, selected, repetitions=self._repetitions
             )
-            knowledge = KnowledgeBase()
-            for sample in samples:
-                knowledge.add(self._to_operating_point(sample))
+            knowledge = self._to_knowledge(samples)
         return ExplorationResult(
             kernel=profile.kernel,
             knowledge=knowledge,
@@ -131,28 +129,36 @@ class DesignSpaceExplorer:
     # -- internals ----------------------------------------------------------
 
     @staticmethod
-    def _to_operating_point(sample: ProfiledSample) -> OperatingPoint:
-        times = np.asarray(sample.times)
-        powers = np.asarray(sample.powers)
-        throughputs = 1.0 / times
-        energies = times * powers
-        def stats(values: np.ndarray) -> MetricStats:
-            std = float(values.std(ddof=1)) if len(values) > 1 else 0.0
-            return MetricStats(mean=float(values.mean()), std=std)
+    def _to_knowledge(samples: Sequence[ProfiledSample]) -> KnowledgeBase:
+        """One operating point per sample: the mean and the sample std
+        (0 for one repetition) of each metric over its repetitions, one
+        reduction per metric over the (points x repetitions) matrices."""
+        if not samples:
+            return KnowledgeBase()
+        times = np.array([sample.times for sample in samples], dtype=np.float64)
+        powers = np.array([sample.powers for sample in samples], dtype=np.float64)
 
-        knobs = {
-            KNOB_COMPILER: sample.point.compiler.label,
-            KNOB_THREADS: sample.point.threads,
-            KNOB_BINDING: sample.point.binding.value,
+        def stats(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+            if values.shape[1] > 1:
+                return values.mean(axis=1), values.std(axis=1, ddof=1)
+            return values.mean(axis=1), np.zeros(len(values))
+
+        knobs: Dict[str, List[object]] = {
+            KNOB_COMPILER: [sample.point.compiler.label for sample in samples],
+            KNOB_THREADS: [sample.point.threads for sample in samples],
+            KNOB_BINDING: [sample.point.binding.value for sample in samples],
         }
-        if sample.point.cluster is not None:
-            knobs[KNOB_CLUSTER] = sample.point.cluster
-        return OperatingPoint(
-            knobs=knobs,
-            metrics={
+        clusters = [sample.point.cluster for sample in samples]
+        if None not in clusters:
+            knobs[KNOB_CLUSTER] = clusters
+        elif any(cluster is not None for cluster in clusters):
+            raise ValueError("inconsistent knob schema: only some points pin a cluster")
+        return KnowledgeBase.from_columns(
+            knobs,
+            {
                 "time": stats(times),
-                "throughput": stats(throughputs),
+                "throughput": stats(1.0 / times),
                 "power": stats(powers),
-                "energy": stats(energies),
+                "energy": stats(times * powers),
             },
         )

@@ -55,6 +55,10 @@ class ApplicationRuntimeManager:
         if not knowledge:
             raise AsrtmError("cannot build an AS-RTM over an empty knowledge base")
         self._knowledge = knowledge
+        # the knowledge as OperatingPoint objects, built by the first
+        # selection: a built application holds its AS-RTM for as long as
+        # the build result lives, and may never run
+        self._points: List[OperatingPoint] = []
         self._states: Dict[str, OptimizationState] = {}
         self._active_state: Optional[str] = None
         self._feedback: Dict[str, float] = {}
@@ -248,7 +252,9 @@ class ApplicationRuntimeManager:
         state: OptimizationState,
         trace: Optional[List[ConstraintTrace]] = None,
     ) -> List[OperatingPoint]:
-        survivors = self._knowledge.points()
+        if len(self._points) != len(self._knowledge):
+            self._points = self._knowledge.points()
+        survivors = self._points
         if self._knob_filters:
             survivors = [
                 point

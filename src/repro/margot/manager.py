@@ -21,7 +21,7 @@ simulated adaptive application in :mod:`repro.core`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, Mapping, Optional
 
 from repro.margot.asrtm import ApplicationRuntimeManager
 from repro.margot.knowledge import KnowledgeBase, OperatingPoint
@@ -57,7 +57,6 @@ class MargotManager:
         self._asrtm.attach_monitor("time", self._time_monitor)
         self._asrtm.attach_monitor("throughput", self._throughput_monitor)
         self._asrtm.attach_monitor("power", self._power_monitor)
-        self._log: List[LogRecord] = []
         self._region_open = False
 
     # -- the four weaved calls -----------------------------------------------
@@ -85,7 +84,7 @@ class MargotManager:
             self._power_monitor.push(power_w)
 
     def log(self, now: float) -> LogRecord:
-        """Record (and return) the current observations."""
+        """The current observations as one log row (returned, not kept)."""
         current = self._asrtm.current
         observations: Dict[str, float] = {}
         for name, monitor in (
@@ -95,14 +94,12 @@ class MargotManager:
         ):
             if not monitor.empty:
                 observations[name] = monitor.last()
-        record = LogRecord(
+        return LogRecord(
             timestamp=now,
             knobs=dict(current.knobs) if current is not None else {},
             observations=observations,
             state=self._asrtm.active_state.name,
         )
-        self._log.append(record)
-        return record
 
     # -- passthroughs -----------------------------------------------------------
 
@@ -113,10 +110,6 @@ class MargotManager:
     @property
     def asrtm(self) -> ApplicationRuntimeManager:
         return self._asrtm
-
-    @property
-    def records(self) -> List[LogRecord]:
-        return list(self._log)
 
     @property
     def monitors(self) -> Dict[str, Monitor]:

@@ -1,12 +1,18 @@
 """Tests for the `socrates` command-line interface."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
 
 FAST = ["--threads", "1,4,16", "--repetitions", "2"]
+#: ``sha256sum`` lines of the seeded ``build 2mm --oplist`` output, one
+#: per machine, named ``2mm_<machine>.json`` (xeon_2s is the default
+#: machine and is built without ``--machine``).
+OPLIST_DIGESTS = Path(__file__).parent / "data" / "build_2mm_oplists.sha256"
 
 
 class TestParser:
@@ -243,6 +249,24 @@ class TestCommands:
         assert csv_path.exists()
         header = csv_path.read_text().splitlines()[0]
         assert header.startswith("timestamp,state,compiler")
+
+
+class TestSeededOplists:
+    """The whole seeded knowledge base of ``build 2mm`` is pinned, not
+    only its Pareto front: every point's knobs, mean and std, byte for
+    byte, on the homogeneous and the clustered machine."""
+
+    @pytest.mark.parametrize(
+        "machine, options",
+        [("xeon_2s", []), ("biglittle_8p8e", ["--machine", "biglittle_8p8e"])],
+    )
+    def test_oplist_matches_digest(self, machine, options, tmp_path, capsys):
+        expected = dict(
+            reversed(line.split()) for line in OPLIST_DIGESTS.read_text().splitlines()
+        )
+        name = f"2mm_{machine}.json"
+        assert main(["build", "2mm", "--oplist", str(tmp_path / name)] + options) == 0
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == expected[name]
 
 
 class TestMargotHeaderCommand:

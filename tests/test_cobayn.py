@@ -215,7 +215,8 @@ class TestFamilyBic:
 
 class TestLeaveOneOutExactness:
     """The per-family structure search reproduces the row-wise one
-    exactly: same edges, bit-identical CPTs, same top-4 for all 12
+    exactly: same edges, bit-identical CPTs, same top-4 and
+    bit-identical posteriors of all 128 combinations for all 12
     leave-one-out tuners."""
 
     @pytest.fixture(scope="class")
@@ -244,7 +245,28 @@ class TestLeaveOneOutExactness:
             seed = expected[name]
             assert [f"{p} -> {c}" for p, c in network.edges()] == seed["edges"], name
             assert digest.hexdigest() == seed["cpt_sha256"], name
-            assert [c.label for c in tuner.predict_top(features, 4)] == seed["top4"], name
+            prediction = tuner.predict(features)
+            assert [c.label for c in prediction.top(4)] == seed["top4"], name
+            posterior_of = {config.label: p for config, p in prediction.ranked}
+            posteriors = np.array(
+                [posterior_of[config.label] for config in cobayn_space()], dtype=np.float64
+            )
+            assert hashlib.sha256(posteriors.tobytes()).hexdigest() == seed["posteriors_sha256"], name
+
+    def test_predict_enumerates_the_evidence_marginal_once(self, tuners, monkeypatch):
+        """One prediction costs 128 numerators plus one 128-term evidence
+        marginal: 256 joint evaluations, not 128 x 129."""
+        tuner, features = tuners["2mm"]
+        calls = []
+        probability = DiscreteBayesianNetwork.probability
+
+        def counted(network, row):
+            calls.append(1)
+            return probability(network, row)
+
+        monkeypatch.setattr(DiscreteBayesianNetwork, "probability", counted)
+        tuner.predict(features)
+        assert len(calls) == 2 * len(cobayn_space()) == 256
 
 
 class TestFlagEncoding:

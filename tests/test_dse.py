@@ -1,6 +1,9 @@
 """Tests for design-space exploration and Pareto filtering."""
 
+import gc
 import json
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +21,7 @@ from repro.dse.strategies import (
     RandomStrategy,
 )
 from repro.engine.core import EvaluationEngine
-from repro.gcc.flags import FlagConfiguration, OptLevel, standard_levels
+from repro.gcc.flags import FlagConfiguration, OptLevel, paper_custom_flags, standard_levels
 from repro.machine.executor import MachineExecutor
 from repro.machine.openmp import BindingPolicy
 from repro.margot.knowledge import KnowledgeBase, MetricStats, OperatingPoint
@@ -288,3 +291,32 @@ class TestSeededFronts:
     def test_matches_recorded_front(self, name):
         expected = json.loads(SEEDED_FRONTS.read_text())[name]
         assert self._front(name) == expected
+
+
+class TestKnowledgeMemory:
+    """The knowledge base keeps columns, not one object per point."""
+
+    def test_seeded_2mm_knowledge_retains_under_100kb(self):
+        engine = EvaluationEngine()
+        explorer = DesignSpaceExplorer(
+            engine.compiler, engine.executor, engine.omp, repetitions=5, engine=engine
+        )
+        space = DesignSpace(
+            compiler_configs=standard_levels() + paper_custom_flags(),
+            thread_counts=list(range(1, engine.machine.logical_cpus + 1)),
+        )
+        profile = engine.profile(load("2mm"))
+        tracemalloc.start()
+        try:
+            result = explorer.explore(profile, space, seed=0xD5E)
+            assert len(result.knowledge) == space.size == 512
+            gc.collect()
+            with_knowledge = tracemalloc.get_traced_memory()[0]
+            alive = weakref.ref(result.knowledge)
+            result.knowledge = None
+            gc.collect()
+            assert alive() is None  # the measurement below freed it all
+            retained = with_knowledge - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained < 100_000, f"knowledge base retains {retained} bytes"

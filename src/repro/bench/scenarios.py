@@ -157,13 +157,7 @@ def _run_dse_exploration(obs: Observability) -> Dict[str, object]:
     from repro.polybench.suite import load
 
     engine = EvaluationEngine(obs=obs)
-    explorer = DesignSpaceExplorer(
-        engine.compiler,
-        engine.executor,
-        engine.omp,
-        repetitions=3,
-        engine=engine,
-    )
+    explorer = DesignSpaceExplorer(engine, repetitions=3)
     space = DesignSpace(
         compiler_configs=standard_levels(), thread_counts=list(range(1, 33))
     )
@@ -187,9 +181,7 @@ def _run_cobayn_corpus(obs: Observability) -> Dict[str, object]:
     from repro.polybench.suite import all_apps
 
     engine = EvaluationEngine(obs=obs)
-    corpus = build_corpus(
-        all_apps(), engine.compiler, engine.executor, engine.omp, engine=engine
-    )
+    corpus = build_corpus(all_apps(), engine)
     counters = engine.counters
     return {
         "examples": len(corpus.examples),

@@ -178,20 +178,20 @@ def cmd_features(args: argparse.Namespace) -> int:
 def cmd_predict(args: argparse.Namespace) -> int:
     from repro.cobayn.autotuner import CobaynAutotuner
     from repro.cobayn.corpus import build_corpus
-    from repro.milepost.features import extract_features
+    from repro.engine.core import EvaluationEngine
     from repro.polybench.suite import all_apps
 
-    flow = _toolflow(args)
+    engine = EvaluationEngine()
     app = _load_app(args.app)
     training = [candidate for candidate in all_apps() if candidate.name != app.name]
-    corpus = build_corpus(training, flow.compiler, flow.executor, flow.omp)
     tuner = CobaynAutotuner()
-    tuner.train(corpus)
-    features = extract_features(app.parse(), app.kernels[0])
-    prediction = tuner.predict(features, k=args.k)
+    tuner.train(build_corpus(training, engine))
+    prediction = tuner.predict(engine.features(app))
+    top = prediction.top(args.k)
+    posteriors = dict(prediction.ranked)
     print(f"COBAYN predictions for {app.name} (trained on the other {len(training)}):")
-    for index, (config, posterior) in enumerate(prediction.ranked[: args.k], start=1):
-        print(f"  CF{index}: p={posterior:.4f}  {config.label}")
+    for index, config in enumerate(top, start=1):
+        print(f"  CF{index}: p={posteriors[config]:.4f}  {config.label}")
     return 0
 
 
@@ -358,12 +358,14 @@ def cmd_profiles(args: argparse.Namespace) -> int:
 def cmd_loocv(args: argparse.Namespace) -> int:
     """COBAYN leave-one-out cross-validation over the suite."""
     from repro.cobayn.evaluation import loocv_report
+    from repro.engine.core import EvaluationEngine
     from repro.polybench.suite import all_apps
 
-    flow = _toolflow(args)
-    names = args.apps.split(",") if args.apps else None
-    apps = [app for app in all_apps() if names is None or app.name in names]
-    report = loocv_report(apps, flow.compiler, flow.executor, flow.omp, k=args.k)
+    if args.apps:
+        apps = [_load_app(name) for name in args.apps.split(",")]
+    else:
+        apps = all_apps()
+    report = loocv_report(apps, EvaluationEngine(args.machine), k=args.k)
     print("COBAYN leave-one-out cross-validation")
     print(report.to_table())
     return 0
@@ -524,14 +526,8 @@ def cmd_dse(args: argparse.Namespace) -> int:
 
     app = _load_app(args.app)
     obs = _make_obs(args)
-    engine = EvaluationEngine(machine=getattr(args, "machine", None), obs=obs)
-    explorer = DesignSpaceExplorer(
-        engine.compiler,
-        engine.executor,
-        engine.omp,
-        repetitions=args.repetitions,
-        engine=engine,
-    )
+    engine = EvaluationEngine(getattr(args, "machine", None), obs=obs)
+    explorer = DesignSpaceExplorer(engine, repetitions=args.repetitions)
     profile = engine.profile(app)
     result = explorer.explore(profile, _standard_space(engine.machine), seed=args.seed)
     front = pareto_front(result.knowledge, [("throughput", True), ("power", False)])
@@ -1565,8 +1561,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_machine_argument(p)
     p.add_argument("--apps", help="comma-separated subset (default: all twelve)")
     p.add_argument("-k", type=int, default=4)
-    p.add_argument("--threads", help="unused placeholder for symmetry")
-    p.add_argument("--repetitions", type=int, default=3)
     p.set_defaults(func=cmd_loocv)
 
     p = subparsers.add_parser(

@@ -29,6 +29,9 @@ class CobaynPrediction:
     ranked: List[Tuple[FlagConfiguration, float]]  # (config, posterior)
 
     def top(self, k: int = 4) -> List[FlagConfiguration]:
+        """The ``k`` most probable configurations (``k >= 1``)."""
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
         return [config for config, _ in self.ranked[:k]]
 
 
@@ -87,7 +90,7 @@ class CobaynAutotuner:
         self._discretizer = discretizer
         self._network = network
 
-    def predict(self, features: FeatureVector, k: int = 4) -> CobaynPrediction:
+    def predict(self, features: FeatureVector) -> CobaynPrediction:
         """Rank the 128 combinations by posterior given ``features``."""
         evidence = self.discretizer.transform(features)
         space = cobayn_space()
@@ -100,4 +103,4 @@ class CobaynAutotuner:
 
     def predict_top(self, features: FeatureVector, k: int = 4) -> List[FlagConfiguration]:
         """Convenience: just the top-``k`` configurations."""
-        return self.predict(features, k).top(k)
+        return self.predict(features).top(k)

@@ -9,14 +9,12 @@ the configurations whose distribution the Bayesian network learns.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.engine.core import EvaluationEngine
 from repro.engine.model import DesignPoint
-from repro.gcc.compiler import Compiler
 from repro.gcc.flags import ALL_FLAGS, Flag, FlagConfiguration, OptLevel, cobayn_space
-from repro.machine.executor import MachineExecutor
-from repro.machine.openmp import BindingPolicy, OpenMPRuntime
+from repro.machine.openmp import BindingPolicy
 from repro.milepost.features import FeatureVector
 from repro.polybench.apps.base import BenchmarkApp
 
@@ -82,69 +80,38 @@ class TrainingCorpus:
 
 
 def reference_points(
-    configs: Sequence[FlagConfiguration],
-    max_threads: Optional[int] = None,
+    configs: Sequence[FlagConfiguration], max_threads: int
 ) -> List[DesignPoint]:
     """The iterative-compilation design points: every configuration at
     the fixed reference operating point.
 
-    ``max_threads`` caps the reference team at the machine's capability
-    (a big.LITTLE part may have fewer than 16 logical CPUs); the
-    paper's testbed is unaffected.
+    ``max_threads`` caps the reference team at the machine's logical
+    CPUs (a big.LITTLE part may have fewer than 16); the paper's
+    testbed is unaffected.
     """
-    threads = (
-        REFERENCE_THREADS
-        if max_threads is None
-        else min(REFERENCE_THREADS, max_threads)
-    )
+    threads = min(REFERENCE_THREADS, max_threads)
     return [
         DesignPoint(compiler=config, threads=threads, binding=REFERENCE_BINDING)
         for config in configs
     ]
 
 
-def evaluate_configuration(
-    app: BenchmarkApp,
-    config: FlagConfiguration,
-    compiler: Compiler,
-    executor: MachineExecutor,
-    omp: OpenMPRuntime,
-    engine: Optional[EvaluationEngine] = None,
-) -> float:
-    """Noise-free execution time of ``app`` under ``config`` at the
-    reference operating point."""
-    engine = engine or EvaluationEngine(compiler=compiler, executor=executor, omp=omp)
-    profile = engine.profile(app)
-    (sample,) = engine.evaluate(
-        profile,
-        reference_points([config], max_threads=engine.machine.logical_cpus),
-        repetitions=1,
-        noisy=False,
-    )
-    return sample.times[0]
-
-
 def build_corpus(
     apps: Sequence[BenchmarkApp],
-    compiler: Compiler,
-    executor: MachineExecutor,
-    omp: OpenMPRuntime,
+    engine: EvaluationEngine,
     good_fraction: float = 0.1,
-    engine: Optional[EvaluationEngine] = None,
 ) -> TrainingCorpus:
     """Run iterative compilation for every app and keep the best combos.
 
     ``good_fraction`` of the 128-point space (at least 4 combos) is
-    labelled positive per kernel.  ``engine`` shares the profile and
-    compile caches with the rest of a toolflow build; when omitted a
-    private engine wraps the given components.
+    labelled positive per kernel.  The measurements run noise-free
+    through ``engine``, sharing its profile, compile and truth caches.
     """
     if not 0.0 < good_fraction <= 1.0:
         raise ValueError("good_fraction must be in (0, 1]")
-    engine = engine or EvaluationEngine(compiler=compiler, executor=executor, omp=omp)
     tracer = engine.obs.tracer
     space = cobayn_space()
-    points = reference_points(space, max_threads=engine.machine.logical_cpus)
+    points = reference_points(space, engine.machine.logical_cpus)
     corpus = TrainingCorpus()
     for app in apps:
         with tracer.span("cobayn.iterative", app=app.name, configs=len(points)):

@@ -11,15 +11,12 @@ pruning ablation and by quality-tracking tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.cobayn.autotuner import CobaynAutotuner
 from repro.cobayn.corpus import build_corpus, reference_points
 from repro.engine.core import EvaluationEngine
-from repro.gcc.compiler import Compiler
 from repro.gcc.flags import FlagConfiguration, OptLevel, cobayn_space
-from repro.machine.executor import MachineExecutor
-from repro.machine.openmp import OpenMPRuntime
 from repro.polybench.apps.base import BenchmarkApp
 
 
@@ -84,30 +81,28 @@ class LoocvReport:
 
 def loocv_report(
     apps: Sequence[BenchmarkApp],
-    compiler: Compiler,
-    executor: MachineExecutor,
-    omp: OpenMPRuntime,
+    engine: EvaluationEngine,
     k: int = 4,
     tuner_factory=CobaynAutotuner,
-    engine: Optional[EvaluationEngine] = None,
 ) -> LoocvReport:
-    """Run the leave-one-out protocol over ``apps``."""
+    """Run the leave-one-out protocol over ``apps``, measuring through
+    ``engine`` at the same reference operating point as the corpus."""
     if len(apps) < 3:
         raise ValueError("leave-one-out needs at least three applications")
-    engine = engine or EvaluationEngine(compiler=compiler, executor=executor, omp=omp)
+    if len({app.name for app in apps}) < len(apps):
+        raise ValueError("leave-one-out applications must be distinct")
     space = cobayn_space()
+    points = reference_points(space, engine.machine.logical_cpus)
     entries: List[LoocvEntry] = []
     for target in apps:
         training = [app for app in apps if app.name != target.name]
-        corpus = build_corpus(training, compiler, executor, omp, engine=engine)
+        corpus = build_corpus(training, engine)
         tuner = tuner_factory()
         tuner.train(corpus)
-        features = engine.features(target)
-        predicted = tuner.predict_top(features, k)
+        predicted = tuner.predict_top(engine.features(target), k)
 
-        profile = engine.profile(target)
         samples = engine.evaluate(
-            profile, reference_points(space), repetitions=1, noisy=False
+            engine.profile(target), points, repetitions=1, noisy=False
         )
         timings = {
             config: sample.times[0] for config, sample in zip(space, samples)

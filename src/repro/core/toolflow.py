@@ -35,10 +35,9 @@ from repro.lara.weaver import Weaver
 from repro.machine.executor import MachineExecutor
 from repro.machine.openmp import OpenMPRuntime
 from repro.machine.power import RaplMeter
-from repro.machine.registry import resolve_machine
 from repro.machine.topology import Machine
 from repro.milepost.features import FeatureVector
-from repro.obs import NULL_OBS, Observability
+from repro.obs import Observability
 from repro.polybench.apps.base import BenchmarkApp
 from repro.polybench.workload import WorkloadProfile
 
@@ -105,47 +104,25 @@ class SocratesToolflow:
         cobayn_k: int = 4,
         thread_counts: Optional[Sequence[int]] = None,
         seed: int = 0x50CA,
-        engine: Optional[EvaluationEngine] = None,
         obs: Optional[Observability] = None,
     ) -> None:
-        """``engine`` supplies a pre-built :class:`EvaluationEngine` whose
-        compiler/executor/runtime the toolflow adopts (sharing caches
-        with other consumers); ``obs`` threads an
+        """``seed`` seeds the engine's measurement noise, the DSE
+        sampling and the RAPL meter; ``obs`` threads an
         :class:`~repro.obs.Observability` through every layer of the
-        build (with a pre-built engine, the engine's own handle is
-        adopted unless ``obs`` is given explicitly)."""
+        build."""
         if dse_repetitions < 1:
             raise ValueError(
                 f"dse_repetitions must be >= 1, got {dse_repetitions}"
             )
         if cobayn_k < 1:
             raise ValueError(f"cobayn_k must be >= 1, got {cobayn_k}")
-        if engine is not None:
-            self._engine = engine
-            self._machine = engine.machine
-            self._omp = engine.omp
-            self._compiler = engine.compiler
-            self._executor = engine.executor
-            self._obs = obs if obs is not None else engine.obs
-        else:
-            self._obs = obs if obs is not None else NULL_OBS
-            self._machine = resolve_machine(machine)
-            self._omp = OpenMPRuntime(self._machine)
-            self._compiler = Compiler()
-            self._executor = MachineExecutor(self._machine, seed=seed)
-            self._engine = EvaluationEngine(
-                compiler=self._compiler,
-                executor=self._executor,
-                omp=self._omp,
-                machine=self._machine,
-                obs=self._obs,
-            )
+        self._engine = EvaluationEngine(machine, seed=seed, obs=obs)
         self._dse_repetitions = dse_repetitions
         self._cobayn_k = cobayn_k
         self._thread_counts = list(
             thread_counts
             if thread_counts is not None
-            else range(1, self._machine.logical_cpus + 1)
+            else range(1, self.machine.logical_cpus + 1)
         )
         self._seed = seed
         self._tuner_cache: Dict[Tuple[str, ...], CobaynAutotuner] = {}
@@ -154,19 +131,19 @@ class SocratesToolflow:
 
     @property
     def machine(self) -> Machine:
-        return self._machine
+        return self._engine.machine
 
     @property
     def compiler(self) -> Compiler:
-        return self._compiler
+        return self._engine.compiler
 
     @property
     def executor(self) -> MachineExecutor:
-        return self._executor
+        return self._engine.executor
 
     @property
     def omp(self) -> OpenMPRuntime:
-        return self._omp
+        return self._engine.omp
 
     @property
     def engine(self) -> EvaluationEngine:
@@ -174,7 +151,7 @@ class SocratesToolflow:
 
     @property
     def obs(self) -> Observability:
-        return self._obs
+        return self._engine.obs
 
     @property
     def seed(self) -> int:
@@ -184,7 +161,7 @@ class SocratesToolflow:
         """The knobs that change what the pipeline computes — never a
         timestamp or a path."""
         return {
-            "machine": self._machine.name,
+            "machine": self.machine.name,
             "seed": self._seed,
             "dse_repetitions": self._dse_repetitions,
             "cobayn_k": self._cobayn_k,
@@ -206,9 +183,9 @@ class SocratesToolflow:
         kernel it predicts for.
         """
         recorder = TelemetryRecorder(
-            self._engine, tracer=self._obs.tracer, metrics=self._obs.metrics
+            self._engine, tracer=self.obs.tracer, metrics=self.obs.metrics
         )
-        with self._obs.tracer.span(f"build:{app.name}", app=app.name):
+        with self.obs.tracer.span(f"build:{app.name}", app=app.name):
             with recorder.stage("characterize"):
                 features = self._characterize(app)
             with recorder.stage("prune"):
@@ -255,15 +232,15 @@ class SocratesToolflow:
             plan=weaver.plan,
         )
         for diag in diagnostics:
-            self._obs.metrics.counter(
+            self.obs.metrics.counter(
                 "socrates_check_diagnostics_total",
                 "Static-analysis diagnostics emitted by the post-weave gate",
                 labels={"rule": diag.rule},
             ).inc()
-            if self._obs.audit is not None:
+            if self.obs.audit is not None:
                 from repro.obs import CheckTrace
 
-                self._obs.audit.record_check(
+                self.obs.audit.record_check(
                     CheckTrace(
                         app=app.name,
                         rule=diag.rule,
@@ -293,7 +270,7 @@ class SocratesToolflow:
         training_apps: Optional[Sequence[BenchmarkApp]],
     ) -> List[FlagConfiguration]:
         tuner = self._trained_tuner(app, training_apps)
-        with self._obs.tracer.span("cobayn.predict", k=self._cobayn_k):
+        with self.obs.tracer.span("cobayn.predict", k=self._cobayn_k):
             return tuner.predict_top(features, self._cobayn_k)
 
     def _trained_tuner(
@@ -309,18 +286,12 @@ class SocratesToolflow:
             ]
         key = tuple(sorted(candidate.name for candidate in training_apps))
         if key not in self._tuner_cache:
-            with self._obs.tracer.span(
+            with self.obs.tracer.span(
                 "cobayn.corpus", training_apps=len(training_apps)
             ):
-                corpus = build_corpus(
-                    training_apps,
-                    self._compiler,
-                    self._executor,
-                    self._omp,
-                    engine=self._engine,
-                )
+                corpus = build_corpus(training_apps, self._engine)
             tuner = CobaynAutotuner()
-            with self._obs.tracer.span(
+            with self.obs.tracer.span(
                 "cobayn.train", examples=len(corpus.examples)
             ):
                 tuner.train(corpus)
@@ -334,20 +305,14 @@ class SocratesToolflow:
         dse_strategy: Optional[SamplingStrategy],
     ) -> ExplorationResult:
         profile = self._engine.profile(app)
-        pins, capacities = self._machine.cluster_pins()
+        pins, capacities = self.machine.cluster_pins()
         space = DesignSpace(
             compiler_configs=list(configs),
             thread_counts=self._thread_counts,
             clusters=pins,
             cluster_capacities=capacities,
         )
-        explorer = DesignSpaceExplorer(
-            self._compiler,
-            self._executor,
-            self._omp,
-            repetitions=self._dse_repetitions,
-            engine=self._engine,
-        )
+        explorer = DesignSpaceExplorer(self._engine, repetitions=self._dse_repetitions)
         return explorer.explore(profile, space, strategy=dse_strategy, seed=self._seed)
 
     def _assemble(
@@ -358,15 +323,15 @@ class SocratesToolflow:
     ) -> AdaptiveApplication:
         profile = self._engine.profile(app)
         versions = build_version_table(
-            self._engine, profile, configs, clusters=self._machine.cluster_pins()[0]
+            self._engine, profile, configs, clusters=self.machine.cluster_pins()[0]
         )
-        meter = RaplMeter(self._executor.power_model, seed=self._seed ^ 0xFF)
+        meter = RaplMeter(self.executor.power_model, seed=self._seed ^ 0xFF)
         return AdaptiveApplication(
             name=app.name,
             versions=versions,
             knowledge=exploration.knowledge,
-            executor=self._executor,
-            omp=self._omp,
+            executor=self.executor,
+            omp=self.omp,
             meter=meter,
-            obs=self._obs,
+            obs=self.obs,
         )

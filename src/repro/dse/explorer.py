@@ -22,9 +22,6 @@ import numpy as np
 from repro.dse.strategies import FullFactorialStrategy, SamplingStrategy
 from repro.engine.core import EvaluationEngine
 from repro.engine.model import DesignPoint, DesignSpace, ProfiledSample
-from repro.gcc.compiler import Compiler
-from repro.machine.executor import MachineExecutor
-from repro.machine.openmp import OpenMPRuntime
 from repro.margot.knowledge import KnowledgeBase
 from repro.polybench.workload import WorkloadProfile
 
@@ -71,29 +68,11 @@ class ExplorationResult:
 class DesignSpaceExplorer:
     """Profiles design points on the simulated machine."""
 
-    def __init__(
-        self,
-        compiler: Compiler,
-        executor: MachineExecutor,
-        omp: OpenMPRuntime,
-        repetitions: int = 5,
-        engine: Optional[EvaluationEngine] = None,
-    ) -> None:
-        """``engine`` shares caches with other measurement consumers;
-        when omitted, a private engine wraps the given components."""
+    def __init__(self, engine: EvaluationEngine, repetitions: int = 5) -> None:
         if repetitions < 1:
             raise ValueError("repetitions must be >= 1")
-        self._engine = engine or EvaluationEngine(
-            compiler=compiler, executor=executor, omp=omp
-        )
-        self._compiler = self._engine.compiler
-        self._executor = self._engine.executor
-        self._omp = self._engine.omp
+        self._engine = engine
         self._repetitions = repetitions
-
-    @property
-    def engine(self) -> EvaluationEngine:
-        return self._engine
 
     def explore(
         self,

@@ -53,11 +53,9 @@ CompileKey = Tuple[str, str, str]
 class CompileCache:
     """Memoizes :meth:`Compiler.compile` with hit/miss accounting.
 
-    The underlying :class:`Compiler` keeps its own memo keyed on the
-    full :class:`FlagConfiguration`; this layer is the engine's
-    authority on *how many distinct compilations* a pipeline performed,
+    The one compile memo (the :class:`Compiler` itself is stateless),
     keyed on the human-readable ``label`` so telemetry and tests can
-    reason about it.
+    reason about *how many distinct compilations* a pipeline performed.
     """
 
     def __init__(self, compiler: Compiler) -> None:

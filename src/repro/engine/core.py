@@ -1,9 +1,14 @@
 """The unified evaluation engine: one compile→place→run path.
 
 Every layer that needs a measurement — the SOCRATES toolflow, the
-design-space explorer and the COBAYN corpus builder — shares one
-:class:`EvaluationEngine`.  The engine owns:
+design-space explorer, the COBAYN corpus builder and its
+leave-one-out evaluation — receives one :class:`EvaluationEngine`.
+The engine owns:
 
+* the **measurement components** — the stateless
+  :class:`~repro.gcc.compiler.Compiler`, the seeded
+  :class:`~repro.machine.executor.MachineExecutor` and the
+  :class:`~repro.machine.openmp.OpenMPRuntime` of one machine;
 * the **compile cache** — one compilation per distinct
   ``(WorkloadProfile, FlagConfiguration.label)`` pair;
 * the **profile cache** — one parse + workload analysis per app;
@@ -63,19 +68,15 @@ class EvaluationEngine:
 
     def __init__(
         self,
-        compiler: Optional[Compiler] = None,
-        executor: Optional[MachineExecutor] = None,
-        omp: Optional[OpenMPRuntime] = None,
         machine: Union[str, Machine, None] = None,
+        seed: int = 0x50C7,
         obs: Optional[Observability] = None,
     ) -> None:
-        if machine is None and executor is not None:
-            machine = executor.machine
-        machine = resolve_machine(machine)
-        self._machine = machine
-        self._compiler = compiler or Compiler()
-        self._executor = executor or MachineExecutor(machine)
-        self._omp = omp or OpenMPRuntime(machine)
+        """``seed`` seeds the executor's measurement-noise stream."""
+        self._machine = resolve_machine(machine)
+        self._compiler = Compiler()
+        self._executor = MachineExecutor(self._machine, seed=seed)
+        self._omp = OpenMPRuntime(self._machine)
         self._obs = obs if obs is not None else NULL_OBS
         # instrument handles are resolved once; with the null registry
         # these are shared no-op sinks, so hot paths stay cheap

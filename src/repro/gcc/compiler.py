@@ -8,8 +8,6 @@ power/code-size factors.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
-
 from repro.compat import slotted_dataclass
 from repro.gcc.flags import FlagConfiguration
 from repro.gcc.passes import CodegenEffect, build_effect
@@ -49,25 +47,15 @@ class CompiledKernel:
 class Compiler:
     """Compile workload profiles against flag configurations.
 
-    Stateless apart from an internal memoization cache, so a single
-    instance can be shared across the whole toolchain.
+    Stateless: a compilation is a pure function of ``(profile,
+    config)``.  The evaluation engine's compile cache memoizes it.
     """
-
-    def __init__(self) -> None:
-        self._cache: Dict[Tuple[str, str, FlagConfiguration], CompiledKernel] = {}
 
     def compile(
         self, profile: WorkloadProfile, config: FlagConfiguration
     ) -> CompiledKernel:
         """Produce the :class:`CompiledKernel` for ``profile`` x ``config``."""
-        key = (profile.name, profile.kernel, config)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        effect = build_effect(profile, config)
-        kernel = self._lower(profile, config, effect)
-        self._cache[key] = kernel
-        return kernel
+        return self._lower(profile, config, build_effect(profile, config))
 
     def _lower(
         self,

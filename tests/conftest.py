@@ -52,10 +52,11 @@ def rng():
 
 
 @pytest.fixture(scope="session")
-def corpus(apps, compiler, executor, omp):
+def corpus(apps):
     from repro.cobayn.corpus import build_corpus
+    from repro.engine.core import EvaluationEngine
 
-    return build_corpus(apps, compiler, executor, omp)
+    return build_corpus(apps, EvaluationEngine())
 
 
 @pytest.fixture(scope="session")

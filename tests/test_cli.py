@@ -97,6 +97,8 @@ class TestParser:
             ["dse", "mvt", "--store", "wh"],
             ["bench", "run", "--store", "wh"],
             ["bench", "gate", "--history-store", "wh"],
+            ["loocv", "--threads", "1,4"],
+            ["loocv", "--repetitions", "3"],
         ],
     )
     def test_removed_commands_and_flags_are_rejected(self, argv):
@@ -445,6 +447,44 @@ class TestProfilesAndLoocv:
         out = capsys.readouterr().out
         assert "leave-one-out" in out
         assert "mvt" in out and "random k-subset" in out
+
+    def test_loocv_on_a_machine_with_fewer_than_16_cpus(self, capsys):
+        argv = ["loocv", "--machine", "biglittle_4p4e", "--apps", "2mm,3mm,atax"]
+        assert main(argv + ["-k", "2"]) == 0
+        rows = capsys.readouterr().out.splitlines()[2:5]
+        assert [row.split()[0] for row in rows] == ["2mm", "3mm", "atax"]
+
+    def test_loocv_rejects_k_below_one(self, capsys):
+        assert main(["loocv", "--apps", "mvt,atax,gemver", "-k", "0"]) == 2
+        captured = capsys.readouterr()
+        assert "k must be >= 1" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "apps, message",
+        [
+            ("2mm,nosuch,atax", "unknown benchmark 'nosuch'"),
+            ("2mm,2mm,3mm", "must be distinct"),
+        ],
+    )
+    def test_loocv_rejects_bad_apps(self, capsys, apps, message):
+        assert main(["loocv", "--apps", apps]) == 2
+        assert message in capsys.readouterr().err
+
+
+class TestPredict:
+    def test_prints_k_rows(self, capsys):
+        assert main(["predict", "2mm", "-k", "2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("COBAYN predictions for 2mm")
+        assert [line.split(":")[0].strip() for line in lines[1:]] == ["CF1", "CF2"]
+
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_rejects_k_below_one(self, capsys, k):
+        assert main(["predict", "2mm", "-k", k]) == 2
+        captured = capsys.readouterr()
+        assert "k must be >= 1" in captured.err
+        assert captured.out == ""
 
 
 class TestObsDiffJson:

@@ -226,9 +226,7 @@ class TestLeaveOneOutExactness:
         tuners = {}
         for app in apps:
             training = [other for other in apps if other.name != app.name]
-            corpus = build_corpus(
-                training, engine.compiler, engine.executor, engine.omp, engine=engine
-            )
+            corpus = build_corpus(training, engine)
             tuner = CobaynAutotuner()
             tuner.train(corpus)
             tuners[app.name] = (tuner, engine.features(app))
@@ -337,15 +335,13 @@ class TestCorpus:
         assert "level" in sample
         assert any(name.startswith("ft") for name in sample)
 
-    def test_good_fraction_validation(self, apps, compiler, executor, omp):
+    def test_good_fraction_validation(self, apps):
         with pytest.raises(ValueError):
-            build_corpus(apps[:1], compiler, executor, omp, good_fraction=0.0)
+            build_corpus(apps[:1], EvaluationEngine(), good_fraction=0.0)
 
-    def test_without_plans_the_space_is_untouched(
-        self, compiler, executor, omp
-    ):
+    def test_without_plans_the_space_is_untouched(self):
         app = load("mvt")
-        corpus = build_corpus([app], compiler, executor, omp)
+        corpus = build_corpus([app], EvaluationEngine())
         (example,) = corpus.examples
         assert len(example.timings) == 128
 
@@ -377,14 +373,21 @@ class TestAutotuner:
 
     def test_prediction_probabilities_descend(self, trained, two_mm):
         features = extract_features(two_mm.parse(), "kernel_2mm")
-        prediction = trained.predict(features, 4)
+        prediction = trained.predict(features)
         probabilities = [p for _, p in prediction.ranked]
         assert probabilities == sorted(probabilities, reverse=True)
 
     def test_posteriors_normalize_over_space(self, trained, two_mm):
         features = extract_features(two_mm.parse(), "kernel_2mm")
-        prediction = trained.predict(features, 128)
+        prediction = trained.predict(features)
         assert sum(p for _, p in prediction.ranked) == pytest.approx(1.0, abs=1e-6)
+
+    def test_top_rejects_k_below_one(self, trained, two_mm):
+        prediction = trained.predict(extract_features(two_mm.parse(), "kernel_2mm"))
+        assert prediction.top(128) == [config for config, _ in prediction.ranked]
+        for k in (0, -1):
+            with pytest.raises(ValueError, match="k must be >= 1"):
+                prediction.top(k)
 
     def test_leave_one_out_prunes_well(self, apps, compiler, executor, omp):
         """Core COBAYN claim: predicted configs sit near the true top."""
@@ -393,7 +396,7 @@ class TestAutotuner:
 
         target = load("3mm")
         train = [app for app in apps if app.name != "3mm"]
-        corpus = build_corpus(train, compiler, executor, omp)
+        corpus = build_corpus(train, EvaluationEngine())
         tuner = CobaynAutotuner()
         tuner.train(corpus)
         features = extract_features(target.parse(), target.kernels[0])
@@ -413,12 +416,11 @@ class TestAutotuner:
 
 
 class TestLoocvEvaluation:
-    def test_report_over_three_apps(self, compiler, executor, omp):
+    def test_report_over_three_apps(self):
         from repro.cobayn.evaluation import loocv_report
-        from repro.polybench.suite import load
 
         apps = [load("mvt"), load("atax"), load("gemver")]
-        report = loocv_report(apps, compiler, executor, omp, k=3)
+        report = loocv_report(apps, EvaluationEngine(), k=3)
         assert len(report.entries) == 3
         assert report.k == 3 and report.space_size == 128
         for entry in report.entries:
@@ -429,9 +431,23 @@ class TestLoocvEvaluation:
         assert "mvt" in table and "random k-subset" in table
         assert report.mean_rank < report.random_baseline_mean_rank()
 
-    def test_needs_three_apps(self, compiler, executor, omp):
+    def test_needs_three_apps(self):
         from repro.cobayn.evaluation import loocv_report
-        from repro.polybench.suite import load
 
         with pytest.raises(ValueError):
-            loocv_report([load("mvt")], compiler, executor, omp)
+            loocv_report([load("mvt")], EvaluationEngine())
+
+    def test_reference_team_fits_a_small_machine(self):
+        """The truth ranking uses the corpus's reference team, capped at
+        the machine's 8 logical CPUs on biglittle_4p4e."""
+        from repro.cobayn.evaluation import loocv_report
+
+        apps = [load("2mm"), load("3mm"), load("atax")]
+        engine = EvaluationEngine("biglittle_4p4e")
+        report = loocv_report(apps, engine, k=2)
+        assert [entry.app for entry in report.entries] == ["2mm", "3mm", "atax"]
+        for entry in report.entries:
+            assert len(entry.predicted_ranks) == 2
+            assert all(0 <= rank < 128 for rank in entry.predicted_ranks)
+        # the truths are the corpus's own: no reference point is new
+        assert engine.counters.truth_misses == 3 * 128

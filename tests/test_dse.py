@@ -22,7 +22,6 @@ from repro.dse.strategies import (
 )
 from repro.engine.core import EvaluationEngine
 from repro.gcc.flags import FlagConfiguration, OptLevel, paper_custom_flags, standard_levels
-from repro.machine.executor import MachineExecutor
 from repro.machine.openmp import BindingPolicy
 from repro.margot.knowledge import KnowledgeBase, MetricStats, OperatingPoint
 from repro.polybench.suite import BENCHMARK_NAMES, load
@@ -40,8 +39,8 @@ def small_space():
 
 
 @pytest.fixture(scope="module")
-def exploration(small_space, compiler, executor, omp):
-    explorer = DesignSpaceExplorer(compiler, executor, omp, repetitions=4)
+def exploration(small_space):
+    explorer = DesignSpaceExplorer(EvaluationEngine(), repetitions=4)
     return explorer.explore(profile_kernel(load("2mm")), small_space)
 
 
@@ -136,13 +135,12 @@ class TestExplorer:
         stds = [point.metric("time").std for point in exploration.knowledge]
         assert any(std > 0 for std in stds)
 
-    def test_samples_recorded(self, small_space, compiler, machine, omp, monkeypatch):
+    def test_samples_recorded(self, small_space, monkeypatch):
         """Every point is profiled with all repetitions, and the
         knowledge base records each sample's statistics."""
-        explorer = DesignSpaceExplorer(
-            compiler, MachineExecutor(machine), omp, repetitions=4
-        )
-        evaluate = explorer.engine.evaluate
+        engine = EvaluationEngine()
+        explorer = DesignSpaceExplorer(engine, repetitions=4)
+        evaluate = engine.evaluate
         recorded = []
 
         def spy(*args, **kwargs):
@@ -150,7 +148,7 @@ class TestExplorer:
             recorded.extend(samples)
             return samples
 
-        monkeypatch.setattr(explorer.engine, "evaluate", spy)
+        monkeypatch.setattr(engine, "evaluate", spy)
         exploration = explorer.explore(profile_kernel(load("2mm")), small_space)
         assert len(recorded) == small_space.size
         assert all(len(sample.times) == 4 for sample in recorded)
@@ -177,20 +175,15 @@ class TestExplorer:
         )
         assert sixteen.metric("power").mean > one.metric("power").mean
 
-    def test_invalid_repetitions(self, compiler, executor, omp):
+    def test_invalid_repetitions(self):
         with pytest.raises(ValueError):
-            DesignSpaceExplorer(compiler, executor, omp, repetitions=0)
+            DesignSpaceExplorer(EvaluationEngine(), repetitions=0)
 
-    def test_seeded_exploration_reproducible(
-        self, small_space, compiler, omp, machine
-    ):
-        from repro.machine.executor import MachineExecutor
-
+    def test_seeded_exploration_reproducible(self, small_space):
         profile = profile_kernel(load("2mm"))
         results = []
         for _ in range(2):
-            executor = MachineExecutor(machine, seed=77)
-            explorer = DesignSpaceExplorer(compiler, executor, omp, repetitions=2)
+            explorer = DesignSpaceExplorer(EvaluationEngine(seed=77), repetitions=2)
             outcome = explorer.explore(profile, small_space, seed=5)
             results.append(
                 [point.metric("time").mean for point in outcome.knowledge]
@@ -266,9 +259,7 @@ class TestSeededFronts:
     @staticmethod
     def _front(name):
         engine = EvaluationEngine()
-        explorer = DesignSpaceExplorer(
-            engine.compiler, engine.executor, engine.omp, repetitions=3, engine=engine
-        )
+        explorer = DesignSpaceExplorer(engine, repetitions=3)
         space = DesignSpace(
             compiler_configs=standard_levels(),
             thread_counts=list(range(1, engine.machine.logical_cpus + 1)),
@@ -298,9 +289,7 @@ class TestKnowledgeMemory:
 
     def test_seeded_2mm_knowledge_retains_under_100kb(self):
         engine = EvaluationEngine()
-        explorer = DesignSpaceExplorer(
-            engine.compiler, engine.executor, engine.omp, repetitions=5, engine=engine
-        )
+        explorer = DesignSpaceExplorer(engine, repetitions=5)
         space = DesignSpace(
             compiler_configs=standard_levels() + paper_custom_flags(),
             thread_counts=list(range(1, engine.machine.logical_cpus + 1)),

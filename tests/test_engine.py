@@ -35,14 +35,7 @@ from repro.obs import Observability
 
 
 def make_engine(seed=0x50C7, obs=None):
-    machine = default_machine()
-    return EvaluationEngine(
-        compiler=Compiler(),
-        executor=MachineExecutor(machine, seed=seed),
-        omp=OpenMPRuntime(machine),
-        machine=machine,
-        obs=obs,
-    )
+    return EvaluationEngine(default_machine(), seed=seed, obs=obs)
 
 
 def small_space(configs=None, threads=(1, 4)):
@@ -211,12 +204,21 @@ class TestToolflowValidation:
             SocratesToolflow(cobayn_k=0)
 
     def test_toolflow_adopts_engine_components(self):
-        engine = make_engine()
-        flow = SocratesToolflow(engine=engine)
-        assert flow.engine is engine
+        """The toolflow's components are its one engine's, built for its
+        machine and seeded with its seed."""
+        obs = Observability()
+        flow = SocratesToolflow("biglittle_4p4e", seed=11, obs=obs)
+        engine = flow.engine
+        assert flow.machine is engine.machine
+        assert engine.machine.name == "biglittle_4p4e"
         assert flow.compiler is engine.compiler
         assert flow.executor is engine.executor
         assert flow.omp is engine.omp
+        assert flow.obs is engine.obs is obs
+        witness = EvaluationEngine("biglittle_4p4e", seed=11)
+        assert (
+            flow.executor.noise_factors(2) == witness.executor.noise_factors(2)
+        )
 
 
 class TestToolflowTelemetry:

@@ -157,11 +157,6 @@ class TestCompiler:
             kernel.total_cycles
         )
 
-    def test_compile_is_memoized(self, p2mm):
-        compiler = Compiler()
-        config = FlagConfiguration(OptLevel.O2)
-        assert compiler.compile(p2mm, config) is compiler.compile(p2mm, config)
-
     def test_vectorized_version_fewer_cycles(self, p2mm):
         compiler = Compiler()
         plain = compiler.compile(p2mm, FlagConfiguration(OptLevel.O3))

@@ -576,10 +576,10 @@ class TestStageEventOk:
         event = StageEvent("s", 0.1, 0, 0, 0, 0, 0, 0, 0)
         assert event.ok is True
 
-    def test_recorder_marks_failed_stage(self, compiler, executor, omp):
+    def test_recorder_marks_failed_stage(self):
         from repro.engine.core import EvaluationEngine
 
-        engine = EvaluationEngine(compiler=compiler, executor=executor, omp=omp)
+        engine = EvaluationEngine()
         recorder = TelemetryRecorder(engine)
         with pytest.raises(RuntimeError):
             with recorder.stage("doomed"):
@@ -607,10 +607,10 @@ class TestStageEventOk:
         assert report["totals"]["ok"] is True
         assert report["stages"] == []
 
-    def test_failed_stage_span_not_ok(self, compiler, executor, omp):
+    def test_failed_stage_span_not_ok(self):
         from repro.engine.core import EvaluationEngine
 
-        engine = EvaluationEngine(compiler=compiler, executor=executor, omp=omp)
+        engine = EvaluationEngine()
         tracer = Tracer(clock=FakeClock())
         recorder = TelemetryRecorder(engine, tracer=tracer)
         with pytest.raises(RuntimeError):
@@ -634,11 +634,11 @@ class TestObservabilityHandle:
         assert NULL_OBS.metrics is NULL_METRICS
         assert NULL_OBS.audit is None
 
-    def test_absorb_engine(self, compiler, executor, omp):
+    def test_absorb_engine(self):
         from repro.engine.core import EvaluationEngine
 
         obs = Observability()
-        engine = EvaluationEngine(compiler=compiler, executor=executor, omp=omp)
+        engine = EvaluationEngine()
         obs.absorb_engine(engine)
         assert obs.metrics.get("socrates_engine_compile_hits") is not None
 
